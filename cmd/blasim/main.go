@@ -72,7 +72,6 @@ func run() error {
 		runToEoL  = flag.Bool("run-to-eol", false, "run until the first battery reaches end of life")
 		aging     = flag.Float64("aging", 1, "calendar/cycle aging acceleration factor")
 		noHistory = flag.Bool("no-retx-history", false, "disable the Eq. 14 retransmission history")
-		noTable   = flag.Bool("no-decision-table", false, "disable BLA's cached night-time decision table (verification escape hatch; outputs are bit-identical either way)")
 		jsonOut   = flag.Bool("json", false, "emit the summary as JSON")
 		nodeCSV   = flag.String("nodes-csv", "", "also write per-node results to this CSV file")
 
@@ -107,7 +106,6 @@ func run() error {
 	cfg.ForecastNoise = *noise
 	cfg.RunToEoL = *runToEoL
 	cfg.DisableRetxHistory = *noHistory
-	cfg.DisableDecisionTable = *noTable
 	if *aging > 1 {
 		cfg.BatteryModel.K1 *= *aging
 		cfg.BatteryModel.K6 *= *aging

@@ -185,45 +185,6 @@ func (b *Battery) DischargeRun(now simtime.Time, step float64, count int) {
 	}
 }
 
-// ChargeRun commits a run of consecutive full-accept charging samples in
-// one step: storedJ is the stored energy after the run and k is the
-// number of samples, leaving every observable (stored energy, SoC-trace
-// counter state, transitions, sample count) exactly as k sequential
-// full-accepting Charge calls would. The caller — the node integrator's
-// slot-level charging span — owns the preconditions:
-//
-//   - the counter is mid-run in the rising direction (a prior accepted
-//     Charge/ChargeProven at this instant's revision established it);
-//   - storedJ is the result of the identical one-addition-per-sample
-//     chain stored += net_i starting from the current stored energy,
-//     with every net_i > 0 (so the chain is non-decreasing — float
-//     addition of a positive term never decreases — and every interior
-//     SoC lies between the current extremum and the final one, ordered
-//     in the established direction with equal neighbours permitted,
-//     exactly ExtendRun's contract);
-//   - every prefix of the chain stays at or below a live
-//     FullAcceptLimit, so none of the replaced Charge calls would have
-//     clamped or partially accepted.
-//
-// Interior samples of a non-decreasing run are never turning points,
-// record no transitions, and cannot flip the direction, so only the
-// final extremum matters; the collapsed pushes are Counter.ExtendRun's
-// exact contract. Like ChargeProven, the skipped refresh mutates only
-// the pure fade cache, which any later reader recomputes identically.
-// ChargeRun does not re-check the chain; it returns the SoC-history
-// revision after the commit (and commits nothing when the direction
-// preconditions do not hold — the caller falls back to the per-minute
-// path on a false second result).
-func (b *Battery) ChargeRun(storedJ float64, k int) (uint64, bool) {
-	c := &b.tracker.counter
-	if c.dir != +1 || b.lastDir != +1 {
-		return c.rev, false
-	}
-	b.stored = storedJ
-	c.ExtendRun(b.soc(), k)
-	return c.rev, true
-}
-
 // record pushes the post-operation SoC into the ground-truth tracker and
 // logs a reportable transition when the charge/discharge direction flips.
 func (b *Battery) record(now simtime.Time, dir int) {

@@ -294,86 +294,3 @@ func TestDischargeRunMatchesSequentialDischarges(t *testing.T) {
 		}
 	}
 }
-
-func TestChargeRunMatchesSequentialCharges(t *testing.T) {
-	rng := rand.New(rand.NewPCG(0xc4a6, 0x2f01))
-	for trial := 0; trial < 200; trial++ {
-		cap := 200 + rng.Float64()*200
-		soc := 0.1 + rng.Float64()*0.3
-		ref := newTestBattery(t, cap, soc)
-		run := newTestBattery(t, cap, soc)
-		now := simtime.Time(simtime.Hour)
-
-		// Establish the rising run ChargeRun requires: two accepted
-		// charges set both the counter direction and the battery's last
-		// direction to +1, exactly how the node integrator arms a span.
-		for i := 0; i < 2; i++ {
-			ref.Charge(now, 1.5)
-			run.Charge(now, 1.5)
-			now += simtime.Time(simtime.Minute)
-		}
-
-		count := 1 + rng.IntN(600)
-		nets := make([]float64, count)
-		for i := range nets {
-			nets[i] = 0.01 + rng.Float64()*0.05 // tiny vs headroom: all full-accept
-		}
-		// The caller's chain: one addition per sample, in order — the
-		// same float operation sequence the sequential Charges perform.
-		stored := run.Stored()
-		for _, n := range nets {
-			stored += n
-		}
-		for i, n := range nets {
-			ref.Charge(now+simtime.Time(int64(i)*int64(simtime.Minute)), n)
-		}
-		if _, ok := run.ChargeRun(stored, count); !ok {
-			t.Fatalf("trial %d: ChargeRun refused an armed rising run", trial)
-		}
-
-		if ref.Stored() != run.Stored() {
-			t.Fatalf("trial %d: stored %v != %v", trial, ref.Stored(), run.Stored())
-		}
-		if ref.tracker.Samples() != run.tracker.Samples() {
-			t.Fatalf("trial %d: samples %d != %d", trial, ref.tracker.Samples(), run.tracker.Samples())
-		}
-		age := simtime.Duration(now) + 2*simtime.Day
-		if refD, runD := ref.tracker.Damage(age), run.tracker.Damage(age); refD != runD {
-			t.Fatalf("trial %d: damage %+v != %+v", trial, refD, runD)
-		}
-		if refTr, runTr := ref.DrainTransitions(), run.DrainTransitions(); len(refTr) != len(runTr) {
-			t.Fatalf("trial %d: transitions %v != %v", trial, refTr, runTr)
-		}
-		// The collapsed run must leave the counter mid-run exactly like
-		// the sequential path: a direction flip afterwards still agrees,
-		// including the transition it reports.
-		ref.Discharge(now, 3)
-		run.Discharge(now, 3)
-		refTr, runTr := ref.DrainTransitions(), run.DrainTransitions()
-		if len(refTr) != 1 || len(runTr) != 1 || refTr[0] != runTr[0] {
-			t.Fatalf("trial %d: post-flip transitions %v != %v", trial, refTr, runTr)
-		}
-		if refD, runD := ref.tracker.Damage(age+simtime.Hour), run.tracker.Damage(age+simtime.Hour); refD != runD {
-			t.Fatalf("trial %d: post-flip damage %+v != %+v", trial, refD, runD)
-		}
-	}
-}
-
-func TestChargeRunRefusesWrongDirection(t *testing.T) {
-	b := newTestBattery(t, 100, 0.5)
-	now := simtime.Time(simtime.Hour)
-	// Fresh battery: no established direction yet.
-	if _, ok := b.ChargeRun(60, 3); ok {
-		t.Fatal("ChargeRun committed with no established direction")
-	}
-	b.Charge(now, 2)
-	b.Discharge(now, 5) // falling run
-	before := b.Stored()
-	samples := b.tracker.Samples()
-	if _, ok := b.ChargeRun(before+1, 1); ok {
-		t.Fatal("ChargeRun committed against a falling run")
-	}
-	if b.Stored() != before || b.tracker.Samples() != samples {
-		t.Fatal("refused ChargeRun mutated the battery")
-	}
-}

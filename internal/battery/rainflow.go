@@ -135,8 +135,7 @@ func (c *Counter) Revision() uint64 { return c.rev }
 // sample count by k, and the revision bumps when the extremum moved.
 // The caller owns the precondition: the run must not reverse or
 // establish a direction (c.dir != 0 and sign(v-last) is c.dir or 0).
-// Battery.DischargeRun and Battery.ChargeRun are the only intended
-// users.
+// Battery.DischargeRun is the only intended user.
 func (c *Counter) ExtendRun(v float64, k int) {
 	if k <= 0 {
 		return

@@ -102,12 +102,6 @@ type Scenario struct {
 	Beta     float64
 	// DisableRetxHistory turns off Eq. (14) learning (ablation).
 	DisableRetxHistory bool
-	// DisableDecisionTable turns off BLA's cached night-time DecideTx
-	// verdict (the per-day decision table). The table is proven
-	// bit-identical to the full Algorithm 1 pass — this is the
-	// verification escape hatch the determinism smokes diff against,
-	// not a behaviour switch.
-	DisableDecisionTable bool
 	// Utility is the data-utility function BLA nodes optimize; nil means
 	// the paper's linear Eq. (16). Reported utility metrics always use
 	// the linear function so protocols stay comparable.
@@ -320,12 +314,6 @@ func (s Scenario) ProtocolLabel() string {
 // identical results. It hashes the %+v rendering of the struct — the
 // Scenario holds no maps, so the rendering is deterministic.
 func (s Scenario) Fingerprint() string {
-	// DisableDecisionTable chooses how the same byte-exact result is
-	// computed, like worker or shard count (see Exec below) — so it
-	// must not change a run's identity. Zeroing it here lets the
-	// determinism smoke diff whole obs exports, embedded manifest
-	// line included, across the two settings.
-	s.DisableDecisionTable = false
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", s)
 	return fmt.Sprintf("%016x", h.Sum64())

@@ -101,15 +101,6 @@ type DiurnalEWMA struct {
 	// pristine profile (never touched) lets Prime consult its cache
 	// without scanning the seen array.
 	touched bool
-	// rev counts profile content changes: it is bumped exactly when a
-	// fold stores a value whose float bits differ from what the slot
-	// held. Callers that cache anything derived from ForecastWindows
-	// output (the MAC decision table) revalidate against it; a fold
-	// that writes the identical bits — the common shape at night, where
-	// alpha·0 + (1−alpha)·0 lands back on +0 — must NOT invalidate, or
-	// every partial-minute observation during a transmission would
-	// evict the cache it is meant to serve.
-	rev     uint64
 	profile [minutesPerDay]float64
 	seen    [minutesPerDay]bool
 	buf     []float64 // reused across ForecastWindows calls
@@ -186,19 +177,12 @@ func (f *DiurnalEWMA) Observe(from, to simtime.Time, energyJ float64) {
 		}
 		slot := int(m % minutesPerDay)
 		if !f.seen[slot] {
-			if power != f.profile[slot] {
-				f.rev++
-			}
 			f.profile[slot] = power
 			f.seen[slot] = true
 			continue
 		}
 		a := f.alpha * w
-		v := a*power + (1-a)*f.profile[slot]
-		if v != f.profile[slot] {
-			f.rev++
-		}
-		f.profile[slot] = v
+		f.profile[slot] = a*power + (1-a)*f.profile[slot]
 	}
 }
 
@@ -210,85 +194,11 @@ func (f *DiurnalEWMA) ObserveFullSlot(slot int, energyJ float64) {
 	f.touched = true
 	power := energyJ / 60.0
 	if !f.seen[slot] {
-		if power != f.profile[slot] {
-			f.rev++
-		}
 		f.profile[slot] = power
 		f.seen[slot] = true
 		return
 	}
-	v := f.alpha*power + (1-f.alpha)*f.profile[slot]
-	if v != f.profile[slot] {
-		f.rev++
-	}
-	f.profile[slot] = v
-}
-
-// FoldFullSlots folds count consecutive whole-minute observations into
-// the profile starting at the given minute-of-day slot: pows[j] is the
-// harvested power of slot slot+j, and each fold performs exactly
-// ObserveFullSlot(slot+j, pows[j]*60.0) — the energy = power·60 s,
-// power = energy/60 s round trip included, so the result is
-// bit-identical to the per-minute calls it replaces. The node
-// integrator's slot-level charging spans use it to batch a proven run
-// into one walk; spans never cross a day boundary, so slot+len(pows)
-// stays within the day.
-func (f *DiurnalEWMA) FoldFullSlots(slot int, pows []float64) {
-	if len(pows) == 0 {
-		return
-	}
-	f.touched = true
-	a := f.alpha
-	for j, p := range pows {
-		power := (p * 60.0) / 60.0
-		s := slot + j
-		if !f.seen[s] {
-			if power != f.profile[s] {
-				f.rev++
-			}
-			f.profile[s] = power
-			f.seen[s] = true
-			continue
-		}
-		v := a*power + (1-a)*f.profile[s]
-		if v != f.profile[s] {
-			f.rev++
-		}
-		f.profile[s] = v
-	}
-}
-
-// Rev returns the profile-content revision (see the rev field): it
-// never stays put across a change to any slot's stored float bits, so
-// any value derived from ForecastWindows output may be memoized against
-// it. (Prime bumps it conservatively — once per replay rather than per
-// changed slot — which can only cause a spurious rebuild, never a stale
-// hit.)
-func (f *DiurnalEWMA) Rev() uint64 { return f.rev }
-
-// ZeroArcEnd returns the first instant at or after t at which a
-// forecast window could see a non-zero profile slot: walking
-// minute-of-day slots forward from t's slot (wrapping midnight), it
-// finds the start of the first slot whose profile value is non-zero.
-// While the profile revision is unchanged, every ForecastWindows query
-// whose span [t', t'+n·window) lies entirely before the returned
-// instant reads only zero-valued slots and therefore returns all-zero
-// forecasts (each window is a non-negative combination of the slot
-// values it overlaps). If every slot is zero the arc never ends and the
-// maximum representable instant is returned. The MAC decision table
-// uses this to bound a cached night-time decision's validity in time.
-func (f *DiurnalEWMA) ZeroArcEnd(t simtime.Time) simtime.Time {
-	const minuteT = simtime.Time(simtime.Minute)
-	if t < 0 {
-		return t
-	}
-	minute := int64(t / minuteT)
-	for k := int64(0); k < minutesPerDay; k++ {
-		if f.profile[int((minute+k)%minutesPerDay)] != 0 {
-			return simtime.Time(minute+k) * minuteT
-		}
-	}
-	return simtime.Time(1<<63 - 1)
+	f.profile[slot] = f.alpha*power + (1-f.alpha)*f.profile[slot]
 }
 
 // SlotZeroNoop reports whether a zero-energy full-slot observation
@@ -422,7 +332,6 @@ func (f *DiurnalEWMA) Prime(src Source, days int) {
 			primeCache.Unlock()
 			if cached != nil {
 				f.touched = true
-				f.rev++
 				f.profile = *cached
 				for m := range f.seen {
 					f.seen[m] = true
@@ -434,7 +343,6 @@ func (f *DiurnalEWMA) Prime(src Source, days int) {
 		// powers directly instead of going through the interface.
 		if days > 0 {
 			f.touched = true
-			f.rev++
 		}
 		for d := 0; d < days; d++ {
 			ns.ensureDay(int64(d))
@@ -462,7 +370,6 @@ func (f *DiurnalEWMA) Prime(src Source, days int) {
 	if ms, ok := src.(MinuteSource); ok {
 		if days > 0 {
 			f.touched = true
-			f.rev++
 		}
 		for d := 0; d < days; d++ {
 			base := int64(d) * minutesPerDay

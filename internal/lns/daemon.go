@@ -499,6 +499,10 @@ func (d *Daemon) Handler() http.Handler {
 		if !decodeBody(w, r, &req) {
 			return
 		}
+		if err := req.Validate(); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		d.RegisterAll(req.Nodes)
 		d.writeJSON(w, http.StatusOK, map[string]int{"registered": len(req.Nodes)})
 	})

@@ -612,6 +612,52 @@ func TestEmptyBatchAccounting(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsOutOfRangeSoC: POST /v1/register must answer 400
+// for any soc outside [0, 1] before touching a lane — the value would
+// seed the node's degradation tracker — and must not register the
+// request's valid nodes either.
+func TestRegisterRejectsOutOfRangeSoC(t *testing.T) {
+	cases := []struct {
+		body string
+		want int
+	}{
+		{`{"nodes":[{"node":0,"soc":7.5}]}`, http.StatusBadRequest},
+		{`{"nodes":[{"node":0,"soc":-0.1}]}`, http.StatusBadRequest},
+		{`{"nodes":[{"node":0,"soc":1.0000001}]}`, http.StatusBadRequest},
+		{`{"nodes":[{"node":1,"soc":0.5},{"node":0,"soc":2}]}`, http.StatusBadRequest},
+		{`{"nodes":[{"node":0,"soc":3,"rejoin":true}]}`, http.StatusBadRequest},
+		{`{"nodes":[{"node":0,"soc":0}]}`, http.StatusOK},
+		{`{"nodes":[{"node":0,"soc":1}]}`, http.StatusOK},
+		{`{"nodes":[{"node":0,"soc":0.9}]}`, http.StatusOK},
+	}
+	for _, tc := range cases {
+		d, err := NewDaemon(Config{Shards: 2})
+		if err != nil {
+			t.Fatalf("NewDaemon: %v", err)
+		}
+		ts := httptest.NewServer(d.Handler())
+		resp, err := ts.Client().Post(ts.URL+"/v1/register", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.body, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+		}
+		d.WuTable() // barrier: every lane drained
+		regs := d.Recorder().Counter("netserver.registers").Value() + d.Recorder().Counter("netserver.rejoins").Value()
+		wantRegs := int64(0)
+		if tc.want == http.StatusOK {
+			wantRegs = 1
+		}
+		if regs != wantRegs {
+			t.Errorf("%s: %d registrations applied, want %d", tc.body, regs, wantRegs)
+		}
+		ts.Close()
+		d.Close()
+	}
+}
+
 // TestBackpressure429: when the ingest lane is full, POST /v1/uplinks
 // must answer 429 with a Retry-After hint, reject without corrupting
 // state, and accept again once the lane drains.

@@ -20,6 +20,7 @@ package lns
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"repro/internal/netserver"
@@ -67,6 +68,18 @@ type RegisterNode struct {
 // RegisterReq is the body of POST /v1/register.
 type RegisterReq struct {
 	Nodes []RegisterNode `json:"nodes"`
+}
+
+// Validate reports the first node whose SoC lies outside [0, 1]: the
+// value seeds the node's degradation tracker, so an out-of-range SoC
+// would corrupt every later degradation and w_u it feeds.
+func (r RegisterReq) Validate() error {
+	for _, n := range r.Nodes {
+		if !(n.SoC >= 0 && n.SoC <= 1) {
+			return fmt.Errorf("node %d: soc %v outside [0,1]", n.Node, n.SoC)
+		}
+	}
+	return nil
 }
 
 // RecomputeReq is the body of POST /v1/recompute: force the due check

@@ -161,12 +161,6 @@ type BLAConfig struct {
 	MaxAttempts int
 	// DisableRetxHistory turns off the Eq. (14) history (ablation).
 	DisableRetxHistory bool
-	// DisableDecisionTable turns off the per-day decision table (the
-	// escape hatch for the cached night-time DecideTx verdict); every
-	// packet then runs the full Algorithm 1 pass. The table is proven
-	// bit-identical to the full pass, so this is a debugging/verification
-	// knob, not a behaviour switch.
-	DisableDecisionTable bool
 
 	// WuTTL is how long a received w_u stays trusted. When no beacon
 	// arrived within the TTL (lost ACKs, gateway outage), decisions use
@@ -225,58 +219,9 @@ type BLA struct {
 	wuFresh bool         // a beacon arrived since construction/reset
 
 	staleDecisions int64
-	tableHits      int64
-
-	// fcEWMA is the forecaster's concrete type when the decision table
-	// is eligible (diurnal-EWMA forecaster, table not disabled); nil
-	// routes every decision through the full Algorithm 1 pass.
-	fcEWMA *energy.DiurnalEWMA
-	tbl    decisionTable
 
 	// scratch, reused across decisions
 	estTx []float64
-}
-
-// decisionTable caches one DecideTx verdict together with an exact
-// validity certificate (DESIGN.md §5j): the verdict is a pure function
-// of the selector inputs, and every input is either proven unchanged or
-// compared bit-for-bit at lookup, so a hit returns the byte-identical
-// Decision the full Algorithm 1 pass would compute — the table is a
-// memo, never an approximation.
-//
-// The cacheable shape is the night arc: while every profile slot a
-// forecast span overlaps holds zero, ForecastWindows returns all-zero
-// forecasts, the cumulative-energy term degenerates, and the verdict
-// depends on the stored energy only through the interval [lo, hi)
-// (core.Selector.SelectZeroEst). Validity at lookup then requires:
-//
-//   - profile unchanged (DiurnalEWMA.Rev) and the queried span inside
-//     the proven zero arc [from, until) — daytime folds move the rev,
-//     night folds and partial-minute zero observations do not;
-//   - the retransmission-history attempt vector unchanged
-//     (RetxHistory.Rev) and the energy-estimator base bit-equal — any
-//     learning step that moves a value forces a rebuild;
-//   - the same stale-w_u TTL phase, and, when fresh, the bit-equal
-//     received w_u — a downlink (OnDegradationUpdate), a brownout
-//     (Reset), or the TTL boundary passing each change one of these;
-//   - the same window count and the stored energy inside [lo, hi).
-//
-// Obs side effects are replayed on hits (StaleWu per stale decision,
-// SetDIF per accepted packet) so observability exports stay
-// byte-identical to the full pass.
-type decisionTable struct {
-	valid   bool
-	rev     uint64 // forecaster profile revision at build
-	histRev uint64 // retx-history attempt revision at build
-	base    float64
-	wu      float64 // raw received w_u at build (compared only when fresh)
-	stale   bool    // stale-w_u verdict at build
-	windows int
-	from    simtime.Time // first instant of the proven zero arc
-	until   simtime.Time // first instant a span may see a non-zero slot
-	lo, hi  float64      // stored-energy interval the verdict covers
-	dec     Decision
-	dif     float64 // DIF of the accepted window (Obs replay on hits)
 }
 
 var _ Protocol = (*BLA)(nil)
@@ -298,16 +243,12 @@ func NewBLA(cfg BLAConfig) (*BLA, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &BLA{
+	return &BLA{
 		cfg:       cfg,
 		selector:  sel,
 		estimator: core.NewTxEnergyEstimator(cfg.Beta, cfg.SingleTxEnergyJ),
 		history:   hist,
-	}
-	if !cfg.DisableDecisionTable {
-		p.fcEWMA, _ = cfg.Forecaster.(*energy.DiurnalEWMA)
-	}
-	return p, nil
+	}, nil
 }
 
 // Name implements Protocol; e.g. theta 0.5 reports as "H-50".
@@ -323,10 +264,10 @@ func (p *BLA) NormalizedDegradation() float64 { return p.wu }
 // conservative w_u because the received weight had exceeded its TTL.
 func (p *BLA) StaleDecisions() int64 { return p.staleDecisions }
 
-// TableHits returns how many transmit decisions were served from the
-// cached decision table instead of a full Algorithm 1 pass — a
-// verification counter for tests and profiles, not protocol state.
-func (p *BLA) TableHits() int64 { return p.tableHits }
+// TableHits always returns 0: BLA keeps no decision cache, so every
+// transmit decision runs the full Algorithm 1 pass. It remains for
+// callers that report a cache-hit ratio.
+func (p *BLA) TableHits() int64 { return 0 }
 
 // effectiveWu returns the w_u Algorithm 1 should trust at the given
 // decision time: the received weight while fresh, the conservative
@@ -343,19 +284,12 @@ func (p *BLA) effectiveWu(at simtime.Time) float64 {
 	return p.wu
 }
 
-// DecideTx implements Protocol by running Algorithm 1 — through the
-// decision table when a cached night-time verdict provably applies
-// (see decisionTable), through the full selector pass otherwise.
+// DecideTx implements Protocol by running Algorithm 1.
 func (p *BLA) DecideTx(gen simtime.Time, windows int, storedJ float64) Decision {
 	if windows <= 0 {
 		return Decision{Drop: true}
 	}
-	stored := max(0, storedJ)
-	if p.fcEWMA != nil {
-		if dec, ok := p.tableLookup(gen, windows, stored); ok {
-			return dec
-		}
-	}
+	forecast := p.cfg.Forecaster.ForecastWindows(gen, p.cfg.Window, windows)
 
 	// The per-window transmission estimate is base·attempts[t]; the
 	// fused SelectEst computes it inline instead of materializing an
@@ -380,113 +314,12 @@ func (p *BLA) DecideTx(gen simtime.Time, windows int, storedJ float64) Decision 
 			}
 		}
 	}
-	wuEff := p.effectiveWu(gen)
-
-	if p.fcEWMA != nil {
-		// Rebuild path: when the whole forecast span lies inside the
-		// profile's zero arc, every forecast window is zero-valued and
-		// the reduced SelectZeroEst pass computes the bit-identical
-		// verdict (skipping the ForecastWindows fold entirely) plus the
-		// stored-energy interval that certifies it for later packets.
-		// The arc is re-walked only when the profile revision moved or
-		// the span left the proven range; otherwise the previous arc
-		// still stands, whatever else invalidated the table.
-		span := simtime.Duration(windows) * p.cfg.Window
-		from, until := gen, gen
-		if t := &p.tbl; t.valid && t.rev == p.fcEWMA.Rev() && gen >= t.from {
-			from, until = t.from, t.until
-		}
-		if gen.Add(span) > until {
-			from, until = gen, p.fcEWMA.ZeroArcEnd(gen)
-		}
-		if gen.Add(span) <= until {
-			d, lo, hi, err := p.selector.SelectZeroEst(stored, wuEff, windows, base, attempts, maxTx)
-			if err != nil {
-				p.tbl.valid = false
-				return Decision{Drop: true}
-			}
-			p.tbl = decisionTable{
-				valid:   true,
-				rev:     p.fcEWMA.Rev(),
-				histRev: p.histRev(),
-				base:    base,
-				wu:      p.wu,
-				stale:   p.wuStale(gen),
-				windows: windows,
-				from:    from,
-				until:   until,
-				lo:      lo,
-				hi:      hi,
-				dif:     d.DIF,
-			}
-			if !d.OK {
-				p.tbl.dec = Decision{Drop: true}
-				return p.tbl.dec
-			}
-			p.tbl.dec = Decision{Window: d.Window, SpreadInWindow: true}
-			p.cfg.Obs.SetDIF(d.DIF)
-			return p.tbl.dec
-		}
-	}
-
-	forecast := p.cfg.Forecaster.ForecastWindows(gen, p.cfg.Window, windows)
-	d, err := p.selector.SelectEst(stored, wuEff, forecast, base, attempts, maxTx)
+	d, err := p.selector.SelectEst(max(0, storedJ), p.effectiveWu(gen), forecast, base, attempts, maxTx)
 	if err != nil || !d.OK {
 		return Decision{Drop: true}
 	}
 	p.cfg.Obs.SetDIF(d.DIF)
 	return Decision{Window: d.Window, SpreadInWindow: true}
-}
-
-// wuStale reports whether a decision at the given instant uses the
-// conservative fallback w_u: the side-effect-free twin of effectiveWu's
-// staleness predicate, for table bookkeeping.
-func (p *BLA) wuStale(at simtime.Time) bool {
-	return p.cfg.WuTTL > 0 && (!p.wuFresh || at.Sub(p.wuAt) > p.cfg.WuTTL)
-}
-
-// histRev returns the retransmission-history revision the table guards
-// against, folding the disabled-history ablation (whose attempt factor
-// is pinned at exactly 1 for every window) into a constant.
-func (p *BLA) histRev() uint64 {
-	if p.cfg.DisableRetxHistory {
-		return 0
-	}
-	return p.history.Rev()
-}
-
-// tableLookup returns the cached verdict when its validity certificate
-// holds at (gen, windows, stored) — see decisionTable — replaying the
-// full pass's Obs side effects.
-func (p *BLA) tableLookup(gen simtime.Time, windows int, stored float64) (Decision, bool) {
-	t := &p.tbl
-	if !t.valid || windows != t.windows {
-		return Decision{}, false
-	}
-	if gen < t.from || gen.Add(simtime.Duration(windows)*p.cfg.Window) > t.until {
-		return Decision{}, false
-	}
-	if t.rev != p.fcEWMA.Rev() || t.histRev != p.histRev() || t.base != p.estimator.Estimate() {
-		return Decision{}, false
-	}
-	stale := p.wuStale(gen)
-	if stale != t.stale || (!stale && p.wu != t.wu) {
-		return Decision{}, false
-	}
-	if !(stored >= t.lo && stored < t.hi) {
-		return Decision{}, false
-	}
-	p.tableHits++
-	if stale {
-		// The full pass takes effectiveWu's stale branch once per
-		// decision; replay its accounting.
-		p.staleDecisions++
-		p.cfg.Obs.StaleWu()
-	}
-	if !t.dec.Drop {
-		p.cfg.Obs.SetDIF(t.dif)
-	}
-	return t.dec, true
 }
 
 // OnOutcome implements Protocol: the actual energy feeds the EWMA
@@ -518,8 +351,4 @@ func (p *BLA) Reset() {
 	p.wuFresh = false
 	p.estimator.Reset()
 	p.history.Reset()
-	// The comparison-based certificate would catch the reset on its own
-	// (the history revision moves), but a rebooted node should not serve
-	// cached verdicts on principle — drop the table outright.
-	p.tbl.valid = false
 }

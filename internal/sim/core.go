@@ -132,18 +132,7 @@ func (n *Node) integrate(to simtime.Time) {
 //
 // The span invariant is "no event, no allocation, no degradation
 // query": a charging or at-capacity daytime node costs one EWMA fold
-// and a few flops per minute — and once a span is live, whole-minute
-// runs inside it collapse to slot level: the kernel scans ahead for the
-// longest run of whole minutes that provably stay inside the span
-// (charging: every minute's balance is positive and the identical
-// one-addition-per-minute stored-energy chain never exceeds the proven
-// full-accept limit; at capacity: every minute's balance is positive so
-// the rejected Charge stays a strict no-op), folds the run's EWMA slots
-// in one batched walk, and commits the battery chain in one
-// battery.ChargeRun (the at-capacity run has no battery ops at all).
-// The scan is independent of the profile — a minute's balance reads
-// only the harvest trace and the constant sleep draw — so extent is
-// decided before any fold. Any Discharge disarms both spans; a full
+// and a few flops per minute. Any Discharge disarms both spans; a full
 // accept on the real path re-arms the full-accept span and a partial
 // accept re-arms the at-capacity span, each through the end of the next
 // day. The revision guard (fastRev) catches any battery push the kernel
@@ -201,31 +190,12 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 		}
 		extra = 0
 		if net > 0 {
-			charging := false
 			switch {
 			case next <= skipUntil && revOK:
 				// At-capacity span: the Charge would reject without mutating.
-				// Collapse the following run of whole positive-balance
-				// minutes inside the span to one batched EWMA fold — the
-				// skipped minutes have no battery ops, so the only
-				// per-minute work left is the fold itself.
-				if whole {
-					endM := spanEndMinute(to, dayStart, skipUntil)
-					j := minute + 1
-					for j < endM && pow[j-dayStart]*60.0-sleep60 > 0 {
-						j++
-					}
-					if j > minute+1 {
-						ew.FoldFullSlots(int(minute+1-dayStart), pow[minute+1-dayStart:j-dayStart])
-						cursor = simtime.Time(j) * minuteT
-						minute = j
-						continue
-					}
-				}
 			case next <= fastUntil && b.Stored()+net <= fastLimit && revOK:
 				armRev = b.ChargeProven(next, net)
 				revOK = true
-				charging = whole
 			default:
 				if acc := b.Charge(next, net); acc < net {
 					// At capacity (or just reached it on a partial accept).
@@ -251,43 +221,8 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 					if lim, ok := b.FullAcceptLimit(end); ok {
 						fastUntil, fastLimit, armRev = end, lim, b.CounterRev()
 						revOK = true
-						charging = whole
 					} else {
 						fastUntil = 0
-					}
-				}
-			}
-			if charging {
-				// Slot-level charging run: this whole minute charged inside
-				// a live full-accept span. Scan ahead while each following
-				// whole minute keeps a positive balance and the running
-				// stored-energy chain — the exact one-addition-per-minute
-				// sequence the per-minute path would execute — stays at or
-				// below the proven limit, then commit the run: one
-				// ChargeRun for the battery chain (interior SoC pushes
-				// collapse, bit-identical) and one batched fold for the
-				// run's EWMA slots. The violating minute re-enters the
-				// per-minute loop untouched.
-				endM := spanEndMinute(to, dayStart, fastUntil)
-				if m2 := minute + 1; m2 < endM {
-					stored := b.Stored()
-					j := m2
-					for j < endM {
-						net2 := pow[j-dayStart]*60.0 - sleep60
-						if net2 <= 0 || stored+net2 > fastLimit {
-							break
-						}
-						stored += net2
-						j++
-					}
-					if j > m2 {
-						if rev, ok := b.ChargeRun(stored, int(j-m2)); ok {
-							armRev, revOK = rev, true
-							ew.FoldFullSlots(int(m2-dayStart), pow[m2-dayStart:j-dayStart])
-							cursor = simtime.Time(j) * minuteT
-							minute = j
-							continue
-						}
 					}
 				}
 			}
@@ -330,23 +265,6 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 	c.fastUntil[i] = fastUntil
 	c.fastLimit[i] = fastLimit
 	c.fastRev[i] = armRev
-}
-
-// spanEndMinute bounds a batched whole-minute span scan: the collapsed
-// run may not leave the integration window (every collapsed minute must
-// be whole, (m+1)·minute <= to), the current day's power slice, or the
-// armed span (minute ends at or before until; span ends are
-// minute-aligned, so the floor division is exact).
-func spanEndMinute(to simtime.Time, dayStart int64, until simtime.Time) int64 {
-	const minuteT = simtime.Time(simtime.Minute)
-	endM := int64(to / minuteT)
-	if dayEnd := dayStart + minutesPerDay; endM > dayEnd {
-		endM = dayEnd
-	}
-	if u := int64(until / minuteT); endM > u {
-		endM = u
-	}
-	return endM
 }
 
 // integrateGeneric is the reference integration path: any source and

@@ -15,7 +15,9 @@ import (
 // and enough variety (theta, initial SoC, node count) to drive every
 // kernel branch: deep-discharge nights, full-accept charging runs,
 // at-capacity spans, partial-minute steps at event times, and brownout
-// interference with the armed spans.
+// interference with the armed spans. WuTTL cycles the stale-w_u phase
+// of the MAC decision, and every fourth seed is a longer, smaller run
+// whose estimators converge over several simulated days.
 func soaOracleScenario(seed uint64) config.Scenario {
 	cfg := config.Default().WithSeed(seed)
 	cfg.Nodes = 12 + int(seed%3)*6
@@ -38,6 +40,11 @@ func soaOracleScenario(seed uint64) config.Scenario {
 		OutageLen:    2 * simtime.Hour,
 		OutageEvery:  simtime.Day,
 		BrownoutMTBF: 4 * simtime.Day,
+		WuTTL:        []simtime.Duration{0, 6 * simtime.Hour, simtime.Day}[seed%3],
+	}
+	if seed%4 == 0 {
+		cfg.Nodes = 8
+		cfg.Duration = 8 * simtime.Day
 	}
 	return cfg
 }
