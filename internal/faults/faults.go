@@ -112,7 +112,7 @@ func (c Config) Active() bool {
 // from the scenario seed. A nil *Plan is valid and injects nothing.
 //
 // Stream discipline: every node has its own streams, so concurrent
-// substrates (the testbed's goroutine-per-node runtime) stay
+// drivers (sim.RunConcurrent's goroutine per node) stay
 // deterministic per node no matter how goroutines interleave, and the
 // simulator's single-threaded event order makes whole runs
 // byte-identical at a fixed seed.

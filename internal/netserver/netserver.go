@@ -27,8 +27,8 @@ import (
 const noneYet = simtime.Time(-1)
 
 // Server is the network-server state. It is not safe for general
-// concurrent use — the testbed runtime guards it with its gateway
-// goroutine, and the LNS daemon gives each shard a private Server —
+// concurrent use — sim.RunConcurrent guards it with one mutex, and the
+// LNS daemon gives each shard a private Server —
 // with one carve-out the sharded simulator relies on: Ingest/Rejoin
 // calls for *distinct* nodes may run concurrently. Per-node state is
 // only ever touched by the lane owning that node, the tally counters
@@ -130,8 +130,9 @@ func New(model battery.Model, tempC float64, interval simtime.Duration) (*Server
 // That is correct exactly once — when the physical battery itself was
 // replaced. A node that merely restarted (brownout, firmware reboot)
 // must go through Rejoin, which keeps both the degradation history and
-// the watermarks; the simulator's brownout path and the testbed gateway
-// do so, and TestSimBrownoutRejoinsNeverReregisters pins it. Negative
+// the watermarks; the simulator's brownout path (restart) does so under
+// both of its drivers, and TestBrownoutRejoinsNeverReregisters pins it
+// in internal/testbed. Negative
 // IDs are rejected (the dense index has no slot for them).
 func (s *Server) Register(nodeID int, initialSoC float64) {
 	if nodeID < 0 {

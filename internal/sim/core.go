@@ -10,8 +10,9 @@ import (
 // dense node index instead of scattered across per-node heap objects,
 // so the energy integrator, the final results sweep, and the obs
 // sampler walk cache lines. sim.Node stays the API-facing view — mac,
-// faults, and testbed see unchanged types — and holds its index into
-// the arrays.
+// faults, and experiments see unchanged types — and holds its index
+// into the arrays. Under RunConcurrent every node goroutine writes only
+// its own index of each slice.
 type soa struct {
 	// lastIntegrated is the per-node lazy energy-integration cursor.
 	lastIntegrated []simtime.Time

@@ -99,12 +99,12 @@ func (sh *shard) schedule(at simtime.Time, kind uint8, n *Node, pkt *packet, tx 
 	sh.eng.ScheduleEvent(at, e)
 }
 
-// newPacket returns a recycled (or fresh) packet from this lane's pool.
-// The generation counter carries over from the previous life;
-// releasePacket already bumped it, so stale events cannot match. A
-// node's packets are always allocated and released by its owner lane
-// (packet lifecycle events run on the owner), so the pools stay
-// shard-local.
+// newPacket returns a recycled (or fresh) packet from this lane's pool;
+// the caller opens its new life. The generation counter carries over
+// from the previous life; releasePacket already bumped it, so stale
+// events cannot match. A node's packets are always allocated and
+// released by its owner lane (packet lifecycle events run on the
+// owner), so the pools stay shard-local.
 func (sh *shard) newPacket() *packet {
 	p := sh.freePkt
 	if p == nil {
@@ -112,9 +112,6 @@ func (sh *shard) newPacket() *packet {
 	}
 	sh.freePkt = p.next
 	p.next = nil
-	p.attempts = 0
-	p.radioEnergyJ = 0
-	p.finished = false
 	return p
 }
 

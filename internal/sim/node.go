@@ -99,6 +99,21 @@ type packet struct {
 	next         *packet // free-list link
 }
 
+// open starts a new packet life at node n: generated at genAt for the
+// given window, due by the node's next generation.
+func (p *packet) open(n *Node, genAt simtime.Time, window int) *packet {
+	p.genAt, p.deadline, p.window = genAt, genAt.Add(n.Period), window
+	p.attempts, p.radioEnergyJ, p.finished = 0, 0, false
+	n.pkt = p
+	return p
+}
+
+// sample records the node's observability timeline row at now.
+func (n *Node) sample(now simtime.Time) {
+	bd := n.Batt.Damage(now)
+	n.obsTL.Record(now, n.Batt.SoC(), bd.Calendar, bd.Cycle, bd.Total, len(n.pendingTrans))
+}
+
 // minutesPerDay mirrors the energy package's day-cache granularity.
 const minutesPerDay = 24 * 60
 

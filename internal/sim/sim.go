@@ -385,12 +385,7 @@ func (s *Simulation) RunOpt(opt RunOptions) (*Result, error) {
 	s.setupLanes(s.resolveShards(opt))
 
 	for _, n := range s.nodes {
-		spread := cfg.StartSpread
-		if spread == 0 {
-			spread = n.Period
-		}
-		first := simtime.Time(n.rng.Int64N(int64(spread)))
-		n.owner.schedule(first, evGenerate, n, nil, nil, nil, 0, 0)
+		n.owner.schedule(s.firstGenerate(n), evGenerate, n, nil, nil, nil, 0, 0)
 		if at, ok := s.plan.NextBrownout(n.ID, 0); ok {
 			n.owner.schedule(at, evBrownout, n, nil, nil, nil, 0, 0)
 		}
@@ -411,8 +406,37 @@ func (s *Simulation) RunOpt(opt RunOptions) (*Result, error) {
 	if s.stopped {
 		now = s.stopAt
 	}
+	res := s.collect(now)
+	if s.obs.Enabled() {
+		// The schedule/execute totals are summed across lanes: the event
+		// multiset is shard-invariant, so the sums match the single-heap
+		// counters exactly.
+		var scheduled, executed uint64
+		for _, ln := range s.lanes {
+			scheduled += ln.eng.Scheduled()
+			executed += ln.eng.Executed()
+		}
+		s.obs.Counter("engine.events_scheduled").Store(int64(scheduled))
+		s.obs.Counter("engine.events_executed").Store(int64(executed))
+	}
+	return res, nil
+}
+
+// firstGenerate draws the node's first sampling instant, spread over
+// StartSpread (one period when unset).
+func (s *Simulation) firstGenerate(n *Node) simtime.Time {
+	spread := s.cfg.StartSpread
+	if spread == 0 {
+		spread = n.Period
+	}
+	return simtime.Time(n.rng.Int64N(int64(spread)))
+}
+
+// collect settles every node's energy at now and gathers the run's
+// result.
+func (s *Simulation) collect(now simtime.Time) *Result {
 	res := &Result{
-		Label:         cfg.ProtocolLabel(),
+		Label:         s.cfg.ProtocolLabel(),
 		Elapsed:       simtime.Duration(now),
 		MonthlyMaxDeg: s.monthly,
 		LifespanDays:  s.lifespanDays,
@@ -433,19 +457,7 @@ func (s *Simulation) RunOpt(opt RunOptions) (*Result, error) {
 			FinalSoC:    n.Batt.SoC(),
 		})
 	}
-	if s.obs.Enabled() {
-		// The schedule/execute totals are summed across lanes: the event
-		// multiset is shard-invariant, so the sums match the single-heap
-		// counters exactly.
-		var scheduled, executed uint64
-		for _, ln := range s.lanes {
-			scheduled += ln.eng.Scheduled()
-			executed += ln.eng.Executed()
-		}
-		s.obs.Counter("engine.events_scheduled").Store(int64(scheduled))
-		s.obs.Counter("engine.events_executed").Store(int64(executed))
-	}
-	return res, nil
+	return res
 }
 
 // obsSample records every node's timeline row at the current instant and
@@ -467,8 +479,7 @@ func (sh *shard) obsSample() {
 	s := sh.s
 	now := sh.eng.Now()
 	for _, n := range s.nodes {
-		bd := n.Batt.Damage(now)
-		n.obsTL.Record(now, n.Batt.SoC(), bd.Calendar, bd.Cycle, bd.Total, len(n.pendingTrans))
+		n.sample(now)
 	}
 	s.coord.schedule(now.Add(s.obs.SampleEvery()), evObsSample, nil, nil, nil, nil, 0, 0)
 }
@@ -478,17 +489,22 @@ func (sh *shard) obsSample() {
 func (sh *shard) dailyTick() {
 	s := sh.s
 	now := sh.eng.Now()
-	// An offline gateway misses its recompute slot; the grid-aligned
-	// schedule catches up on the first tick after the outage ends.
-	if !s.plan.GatewayDown(now) {
-		s.server.RecomputeIfDue(now)
-	}
+	s.recompute(now)
 	if s.cfg.RunToEoL && s.maxGroundTruthDeg(now) >= s.cfg.BatteryModel.EoLThreshold {
 		s.lifespanDays = now.Days()
 		s.halt(now)
 		return
 	}
 	sh.schedule(now.Add(simtime.Day), evDaily, nil, nil, nil, nil, 0, 0)
+}
+
+// recompute runs the network server's degradation recomputation if it
+// is due. An offline gateway misses its slot; the grid-aligned schedule
+// catches up on the first tick after the outage ends.
+func (s *Simulation) recompute(now simtime.Time) {
+	if !s.plan.GatewayDown(now) {
+		s.server.RecomputeIfDue(now)
+	}
 }
 
 func (sh *shard) monthlyTick() {
@@ -509,19 +525,36 @@ func (s *Simulation) maxGroundTruthDeg(now simtime.Time) float64 {
 	return maxDeg
 }
 
+// The packet lifecycle is split into steps and scheduling. A step is
+// node- or server-side work at one instant that schedules nothing:
+// decide, startAttempt, energyRetry, deliver, backoff, acked, settle and
+// restart. The event handlers below (generate, attempt, txEnd,
+// ackDelivered, brownout, finish) schedule around the steps; the
+// goroutine driver of RunConcurrent sleeps between them instead.
+
 // generate handles one packet generation at a node: abort any stale
 // in-flight packet, run the MAC decision, and schedule the transmission
 // attempt and the next generation. It runs on the node's owner lane,
 // like every other per-node handler.
 func (sh *shard) generate(n *Node) {
-	s := sh.s
 	now := sh.eng.Now()
 	n.integrate(now)
 
 	if n.pkt != nil && !n.pkt.finished {
 		sh.finish(n, n.pkt, false, now)
 	}
+	if window, at, send := sh.s.decide(n, now); send {
+		pkt := sh.newPacket().open(n, now, window)
+		sh.schedule(at, evAttempt, n, pkt, nil, nil, 0, 0)
+	}
+	sh.schedule(now.Add(n.Period), evGenerate, n, nil, nil, nil, 0, 0)
+}
 
+// decide runs the MAC decision for the packet generated at now. A drop
+// is settled on the spot; otherwise decide returns the chosen window
+// and the instant of the first attempt, spread inside the window when
+// the protocol asks for it.
+func (s *Simulation) decide(n *Node, now simtime.Time) (window int, at simtime.Time, send bool) {
 	n.Stats.Generated++
 	dec := n.Proto.DecideTx(now, n.Windows, n.Batt.Stored())
 	n.obsTL.Decision(dec.Window, dec.Drop)
@@ -536,32 +569,18 @@ func (sh *shard) generate(n *Node) {
 		if s.hooks.OnPacketDone != nil {
 			s.hooks.OnPacketDone(n.ID, false, 0, -1)
 		}
-	} else {
-		window := mathx.ClampInt(dec.Window, 0, n.Windows-1)
-		pkt := sh.newPacket()
-		pkt.genAt = now
-		pkt.deadline = now.Add(n.Period)
-		pkt.window = window
-		n.pkt = pkt
-		n.Stats.WindowHist.Add(window)
-
-		var offset simtime.Duration
-		if dec.SpreadInWindow {
-			if spread := s.cfg.ForecastWindow - attemptSpan(n); spread > 0 {
-				offset = simtime.Duration(n.rng.Int64N(int64(spread)))
-			}
-		}
-		at := now.Add(simtime.Duration(window)*s.cfg.ForecastWindow + offset)
-		sh.schedule(at, evAttempt, n, pkt, nil, nil, 0, 0)
+		return 0, 0, false
 	}
-
-	sh.schedule(now.Add(n.Period), evGenerate, n, nil, nil, nil, 0, 0)
+	window = mathx.ClampInt(dec.Window, 0, n.Windows-1)
+	n.Stats.WindowHist.Add(window)
+	var offset simtime.Duration
+	if dec.SpreadInWindow {
+		if spread := s.cfg.ForecastWindow - n.span; spread > 0 {
+			offset = simtime.Duration(n.rng.Int64N(int64(spread)))
+		}
+	}
+	return window, now.Add(simtime.Duration(window)*s.cfg.ForecastWindow + offset), true
 }
-
-// attemptSpan is the worst-case duration of one attempt: airtime plus
-// receive windows plus retransmission backoff headroom. It is constant
-// per node and precomputed at build time.
-func attemptSpan(n *Node) simtime.Duration { return n.span }
 
 // attempt transmits (or re-transmits) the packet if the battery can fund
 // it, deferring window by window otherwise. gen is the packet life the
@@ -575,25 +594,32 @@ func (sh *shard) attempt(n *Node, pkt *packet, gen uint64) {
 	now := sh.eng.Now()
 	n.integrate(now)
 
-	n.drainReports()
-	reports := n.pendingTrans
-	if len(reports) > maxReportsPerPacket {
-		reports = reports[len(reports)-maxReportsPerPacket:]
-	}
-	payload := s.cfg.PayloadBytes + battery.ReportSize*len(reports)
-	params := n.paramsForAttempt(pkt.attempts)
-	txE := s.phy.TxEnergy(params.SF, payload)
-
-	if !n.Batt.CanSupply(txE + n.rxEnergyJ) {
-		// Not enough stored energy: wait one forecast window for harvest,
-		// or give up at the period boundary.
-		retry := now.Add(s.cfg.ForecastWindow)
-		if retry.Add(attemptSpan(n)).After(pkt.deadline) {
+	sf, end, ok := s.startAttempt(n, pkt, now)
+	if !ok {
+		if retry, ok := s.energyRetry(n, pkt, now); ok {
+			sh.schedule(retry, evAttempt, n, pkt, nil, nil, 0, 0)
+		} else {
 			sh.finish(n, pkt, false, now)
-			return
 		}
-		sh.schedule(retry, evAttempt, n, pkt, nil, nil, 0, 0)
 		return
+	}
+	tx, btx := sh.beginUplink(n, sf, now, end)
+	sh.schedule(end, evTxEnd, n, pkt, tx, btx, 0, 0)
+}
+
+// startAttempt sizes the packet's next attempt — the newest pending
+// reports that fit, at the back-off SF — and, if the battery can fund
+// the transmission plus the receive windows, charges the transmission.
+// It returns the attempt's SF and end of airtime, or false when the
+// battery cannot fund it.
+func (s *Simulation) startAttempt(n *Node, pkt *packet, now simtime.Time) (lora.SpreadingFactor, simtime.Time, bool) {
+	n.drainReports()
+	reports := min(len(n.pendingTrans), maxReportsPerPacket)
+	payload := s.cfg.PayloadBytes + battery.ReportSize*reports
+	sf := n.paramsForAttempt(pkt.attempts).SF
+	txE := s.phy.TxEnergy(sf, payload)
+	if !n.Batt.CanSupply(txE + n.rxEnergyJ) {
+		return 0, 0, false
 	}
 
 	pkt.attempts++
@@ -601,24 +627,43 @@ func (sh *shard) attempt(n *Node, pkt *packet, gen uint64) {
 	n.draw(txE)
 	pkt.radioEnergyJ += txE
 	n.Stats.TxEnergyJ += txE
+	return sf, now.Add(s.phy.Airtime(sf, payload)), true
+}
 
-	airtime := s.phy.Airtime(params.SF, payload)
-	ch := n.ID % s.cfg.Channels
-	end := now.Add(airtime)
+// energyRetry defers an attempt the battery cannot fund by one forecast
+// window, waiting for harvest. It reports false when the deferred
+// attempt could no longer finish before the packet's deadline.
+func (s *Simulation) energyRetry(n *Node, pkt *packet, now simtime.Time) (simtime.Time, bool) {
+	retry := now.Add(s.cfg.ForecastWindow)
+	return retry, !retry.Add(n.span).After(pkt.deadline)
+}
+
+// beginUplink registers the node's uplink in the medium: one masked
+// clone per audible cell for a border node, a single transmission
+// otherwise.
+func (sh *shard) beginUplink(n *Node, sf lora.SpreadingFactor, start, end simtime.Time) (*Transmission, *borderTx) {
+	ch := n.ID % sh.s.cfg.Channels
 	if n.borderPow != nil {
-		btx := sh.beginBorderUplink(n, ch, params.SF, now, end)
-		sh.schedule(end, evTxEnd, n, pkt, nil, btx, 0, 0)
-		return
+		return nil, sh.beginBorderUplink(n, ch, sf, start, end)
 	}
 	tx := sh.med.NewTransmission()
 	tx.NodeID = n.ID
 	tx.Channel = ch
-	tx.SF = params.SF
+	tx.SF = sf
 	tx.PowerDBm = n.rxPowerDBm
-	tx.Start = now
+	tx.Start = start
 	tx.End = end
 	sh.med.BeginUplink(tx)
-	sh.schedule(end, evTxEnd, n, pkt, tx, nil, 0, 0)
+	return tx, nil
+}
+
+// endUplink releases the uplink from the medium and returns the
+// gateways that decoded it, strongest first.
+func (sh *shard) endUplink(n *Node, tx *Transmission, btx *borderTx) []int {
+	if btx != nil {
+		return sh.endBorderUplink(n, btx)
+	}
+	return sh.med.EndUplink(tx)
 }
 
 // txEnd resolves one transmission attempt: gateway decoding, ACK
@@ -627,140 +672,127 @@ func (sh *shard) attempt(n *Node, pkt *packet, gen uint64) {
 // node-side accounting below), so stale and live packets share it.
 func (sh *shard) txEnd(n *Node, pkt *packet, gen uint64, tx *Transmission, btx *borderTx) {
 	s := sh.s
-	var gws []int
-	if btx != nil {
-		gws = sh.endBorderUplink(n, btx)
-	} else {
-		gws = sh.med.EndUplink(tx)
-	}
+	gws := sh.endUplink(n, tx, btx)
 	if pkt.gen != gen || pkt.finished || n.pkt != pkt {
 		return
 	}
 	now := sh.eng.Now()
 	n.integrate(now)
 
+	if gw, ackEnd, ok := s.deliver(n, pkt, gws, now); ok {
+		// The downlink runs on the lane owning the gateway's radio (this
+		// lane for interior nodes; possibly another worker lane when the
+		// coordinator resolves a border uplink — always strictly in the
+		// future, so the barrier loop picks it up).
+		s.laneForGW(gw).schedule(now.Add(rx1Delay), evDownlink, nil, nil, nil, nil, gw, ackEnd)
+		sh.schedule(ackEnd, evAckDone, n, pkt, nil, nil, 0, 0)
+		return
+	}
+	if retry, ok := s.backoff(n, pkt, now); ok {
+		sh.schedule(retry, evAttempt, n, pkt, nil, nil, 0, 0)
+	} else {
+		sh.finish(n, pkt, false, now)
+	}
+}
+
+// deliver resolves an attempt whose airtime ended at now. The node pays
+// for its receive windows. An uplink some gateway decoded (gws,
+// strongest first) then passes the control-plane fault switch, is
+// ingested by the network server, and gets an ACK slot at rx1 on the
+// first decoding gateway whose radio is free. deliver returns that
+// gateway and the ACK's end, or false when no ACK will come.
+func (s *Simulation) deliver(n *Node, pkt *packet, gws []int, now simtime.Time) (gw int, ackEnd simtime.Time, ok bool) {
 	// Receive windows cost energy whether or not an ACK arrives.
 	n.draw(n.rxEnergyJ)
 	pkt.radioEnergyJ += n.rxEnergyJ
+	if len(gws) == 0 {
+		return 0, 0, false
+	}
 
-	if len(gws) > 0 {
-		// The switch mirrors the original short-circuit chain exactly:
-		// GatewayDown draws no randomness and DropUplink is only consulted
-		// when the gateway is up, so per-node RNG streams are identical
-		// with observability on or off.
-		switch {
-		case s.plan.GatewayDown(now):
-			s.cLostOutage.Inc()
-			n.obsTL.RecordEvent(now, "uplink_lost_outage")
-		case s.plan.DropUplink(n.ID):
-			s.cDroppedBackhaul.Inc()
-			n.obsTL.RecordEvent(now, "uplink_dropped_backhaul")
-		default:
-			reports := n.encodeReports(now, s.cfg.ForecastWindow)
-			s.server.Ingest(n.ID, reports, now, s.cfg.ForecastWindow)
-			if s.plan.DuplicateUplink(n.ID) {
-				// Backhaul duplication: the server sees the same packet twice;
-				// idempotent ingestion makes the second delivery a no-op.
-				s.cDuplicated.Inc()
-				s.server.Ingest(n.ID, reports, now, s.cfg.ForecastWindow)
-			}
-			if !s.plan.DropDownlink(n.ID) {
-				rx1 := now.Add(rx1Delay)
-				ackEnd := rx1.Add(n.ackAirtime)
-				for _, gw := range gws {
-					// The downlink runs on the lane owning the gateway's radio
-					// (this lane for interior nodes; possibly another worker lane
-					// when the coordinator resolves a border uplink — always
-					// strictly in the future, so the barrier loop picks it up).
-					gl := s.laneForGW(gw)
-					if gl.med.ReserveDownlink(gw, rx1, ackEnd) {
-						gl.schedule(rx1, evDownlink, nil, nil, nil, nil, gw, ackEnd)
-						sh.schedule(ackEnd, evAckDone, n, pkt, nil, nil, 0, 0)
-						return
-					}
-				}
-				// Every decoding gateway's radio is busy: the data arrived but
-				// the node will never know — it behaves exactly like a
-				// collision.
-			} else {
-				// A dropped downlink looks the same from the node: no ACK, so
-				// it retries with the reports still piggy-backed (and the
-				// server's duplicate guard drops the re-ingested copies).
-				s.cDownlinkDropped.Inc()
-				n.obsTL.RecordEvent(now, "downlink_dropped")
-			}
+	// The switch mirrors the original short-circuit chain exactly:
+	// GatewayDown draws no randomness and DropUplink is only consulted
+	// when the gateway is up, so per-node RNG streams are identical
+	// with observability on or off.
+	switch {
+	case s.plan.GatewayDown(now):
+		s.cLostOutage.Inc()
+		n.obsTL.RecordEvent(now, "uplink_lost_outage")
+		return 0, 0, false
+	case s.plan.DropUplink(n.ID):
+		s.cDroppedBackhaul.Inc()
+		n.obsTL.RecordEvent(now, "uplink_dropped_backhaul")
+		return 0, 0, false
+	}
+	reports := n.encodeReports(now, s.cfg.ForecastWindow)
+	s.server.Ingest(n.ID, reports, now, s.cfg.ForecastWindow)
+	if s.plan.DuplicateUplink(n.ID) {
+		// Backhaul duplication: the server sees the same packet twice;
+		// idempotent ingestion makes the second delivery a no-op.
+		s.cDuplicated.Inc()
+		s.server.Ingest(n.ID, reports, now, s.cfg.ForecastWindow)
+	}
+	if s.plan.DropDownlink(n.ID) {
+		// A dropped downlink looks the same from the node: no ACK, so it
+		// retries with the reports still piggy-backed (and the server's
+		// duplicate guard drops the re-ingested copies).
+		s.cDownlinkDropped.Inc()
+		n.obsTL.RecordEvent(now, "downlink_dropped")
+		return 0, 0, false
+	}
+	rx1 := now.Add(rx1Delay)
+	ackEnd = rx1.Add(n.ackAirtime)
+	for _, g := range gws {
+		if s.laneForGW(g).med.ReserveDownlink(g, rx1, ackEnd) {
+			return g, ackEnd, true
 		}
 	}
-	sh.retryOrFail(n, pkt, now)
+	// Every decoding gateway's radio is busy: the data arrived but the
+	// node will never know — it behaves exactly like a collision.
+	return 0, 0, false
 }
 
-// brownout restarts a node: any in-flight packet dies, the protocol's
-// volatile state (w_u, learned estimators) and the unreported transition
-// backlog are lost, and the node re-registers with the gateway, which
-// keeps its accumulated degradation history. The energy cost of the
-// rejoin exchange is charged to the battery.
-func (sh *shard) brownout(n *Node) {
-	s := sh.s
-	now := sh.eng.Now()
-	n.integrate(now)
-
-	if n.pkt != nil && !n.pkt.finished {
-		sh.finish(n, n.pkt, false, now)
-	}
-	n.Proto.Reset()
-	n.pendingTrans = n.pendingTrans[:0]
-	n.transBuf = n.Batt.AppendTransitions(n.transBuf[:0]) // recorded but never reported: gone
-	n.Stats.Brownouts++
-	s.cBrownouts.Inc()
-	n.obsTL.RecordEvent(now, "brownout")
-
-	// Rejoin exchange: one uplink at the node's base settings plus the
-	// receive windows for the join accept.
-	joinE := s.phy.TxEnergy(n.Params.SF, joinPayloadBytes) + n.rxEnergyJ
-	n.draw(joinE)
-	n.Stats.TxEnergyJ += joinE
-	s.server.Rejoin(n.ID, n.Batt.SoC())
-
-	// The sampling timer restarts with the generation cycle already
-	// scheduled; modelling a reboot-time phase shift would desynchronize
-	// the pooled generate events for marginal realism.
-	if at, ok := s.plan.NextBrownout(n.ID, now); ok {
-		sh.schedule(at, evBrownout, n, nil, nil, nil, 0, 0)
-	}
-}
-
-func (sh *shard) retryOrFail(n *Node, pkt *packet, now simtime.Time) {
-	if pkt.attempts >= sh.s.cfg.MaxAttempts {
-		sh.finish(n, pkt, false, now)
-		return
+// backoff schedules the retransmission after an unacknowledged attempt:
+// the receive windows plus a random back-off. It reports false when the
+// attempt budget is spent or the retry would miss the deadline.
+func (s *Simulation) backoff(n *Node, pkt *packet, now simtime.Time) (simtime.Time, bool) {
+	if pkt.attempts >= s.cfg.MaxAttempts {
+		return 0, false
 	}
 	backoff := 500*simtime.Millisecond + simtime.Duration(n.rng.Int64N(int64(2*simtime.Second)))
 	retry := now.Add(rxWindowsSpan + backoff)
-	if retry.After(pkt.deadline) {
-		sh.finish(n, pkt, false, now)
-		return
-	}
-	sh.schedule(retry, evAttempt, n, pkt, nil, nil, 0, 0)
+	return retry, !retry.After(pkt.deadline)
 }
 
-// ackDelivered completes a packet successfully: the ACK carries the
-// gateway's latest normalized degradation for this node.
+// ackDelivered completes a packet whose ACK window closed with the ACK
+// decoded.
 func (sh *shard) ackDelivered(n *Node, pkt *packet, gen uint64) {
 	if pkt.gen != gen || pkt.finished || n.pkt != pkt {
 		return
 	}
-	s := sh.s
 	now := sh.eng.Now()
 	n.integrate(now)
-	n.Proto.OnDegradationUpdate(now, s.server.NormalizedDegradation(n.ID))
-	n.pendingTrans = n.pendingTrans[:0] // reports delivered
-	sh.finish(n, pkt, true, now)
+	sh.s.acked(n, pkt, now)
+	sh.releasePacket(pkt)
 }
 
-// finish settles a packet's fate and updates metrics and protocol
-// learning.
+// acked settles a delivered packet: the ACK carries the gateway's
+// latest normalized degradation for this node, and the piggy-backed
+// reports are off the node's hands.
+func (s *Simulation) acked(n *Node, pkt *packet, now simtime.Time) {
+	n.Proto.OnDegradationUpdate(now, s.server.NormalizedDegradation(n.ID))
+	n.pendingTrans = n.pendingTrans[:0]
+	s.settle(n, pkt, true, now)
+}
+
+// finish settles a packet's fate and returns it to the lane's pool.
 func (sh *shard) finish(n *Node, pkt *packet, delivered bool, now simtime.Time) {
-	s := sh.s
+	sh.s.settle(n, pkt, delivered, now)
+	sh.releasePacket(pkt)
+}
+
+// settle closes a packet's life and updates metrics and protocol
+// learning.
+func (s *Simulation) settle(n *Node, pkt *packet, delivered bool, now simtime.Time) {
 	pkt.finished = true
 	n.pkt = nil
 
@@ -786,7 +818,46 @@ func (sh *shard) finish(n *Node, pkt *packet, delivered bool, now simtime.Time) 
 	if s.hooks.OnPacketDone != nil {
 		s.hooks.OnPacketDone(n.ID, delivered, pkt.attempts, pkt.window)
 	}
-	sh.releasePacket(pkt)
+}
+
+// brownout restarts a node: any in-flight packet dies, the node reboots
+// (restart), and its next brownout is drawn.
+func (sh *shard) brownout(n *Node) {
+	s := sh.s
+	now := sh.eng.Now()
+	n.integrate(now)
+
+	if n.pkt != nil && !n.pkt.finished {
+		sh.finish(n, n.pkt, false, now)
+	}
+	s.restart(n, now)
+	// The sampling timer restarts with the generation cycle already
+	// scheduled; modelling a reboot-time phase shift would desynchronize
+	// the pooled generate events for marginal realism.
+	if at, ok := s.plan.NextBrownout(n.ID, now); ok {
+		sh.schedule(at, evBrownout, n, nil, nil, nil, 0, 0)
+	}
+}
+
+// restart reboots a browned-out node: the protocol's volatile state
+// (w_u, learned estimators) and the unreported transition backlog are
+// lost, the node pays for the rejoin exchange, and the network server
+// re-admits it through Rejoin, keeping its accumulated degradation
+// history.
+func (s *Simulation) restart(n *Node, now simtime.Time) {
+	n.Proto.Reset()
+	n.pendingTrans = n.pendingTrans[:0]
+	n.transBuf = n.Batt.AppendTransitions(n.transBuf[:0]) // recorded but never reported: gone
+	n.Stats.Brownouts++
+	s.cBrownouts.Inc()
+	n.obsTL.RecordEvent(now, "brownout")
+
+	// Rejoin exchange: one uplink at the node's base settings plus the
+	// receive windows for the join accept.
+	joinE := s.phy.TxEnergy(n.Params.SF, joinPayloadBytes) + n.rxEnergyJ
+	n.draw(joinE)
+	n.Stats.TxEnergyJ += joinE
+	s.server.Rejoin(n.ID, n.Batt.SoC())
 }
 
 // rxPowers computes the node's static received power at every gateway.

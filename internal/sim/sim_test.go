@@ -301,3 +301,51 @@ func TestFixedSF(t *testing.T) {
 		}
 	}
 }
+
+// TestDeliverAckWindow pins the class-A ACK arithmetic of deliver: a
+// decoded uplink ending at t is acknowledged in RX1, so its ACK ends at
+// t + rx1Delay + ackAirtime on the decoding gateway, and the node pays
+// for its receive windows either way. A second uplink whose ACK would
+// overlap the reserved slot gets none.
+func TestDeliverAckWindow(t *testing.T) {
+	s, err := New(smallScenario(config.ProtocolLoRaWAN), Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.setupLanes(1)
+	a, b := s.nodes[0], s.nodes[1]
+	end := simtime.Time(250 * simtime.Millisecond)
+	pa := (&packet{}).open(a, 0, 0)
+	gw, ackEnd, ok := s.deliver(a, pa, []int{0}, end)
+	if !ok || gw != 0 {
+		t.Fatalf("deliver = (gw %d, ok %v), want an ACK on gateway 0", gw, ok)
+	}
+	if want := end.Add(rx1Delay + a.ackAirtime); ackEnd != want {
+		t.Errorf("ackEnd = %v, want txEnd + rx1Delay + ackAirtime = %v", ackEnd, want)
+	}
+	if pa.radioEnergyJ != a.rxEnergyJ {
+		t.Errorf("radio energy = %v, want the receive windows' %v", pa.radioEnergyJ, a.rxEnergyJ)
+	}
+	pb := (&packet{}).open(b, 0, 0)
+	if _, _, ok := s.deliver(b, pb, []int{0}, end.Add(simtime.Millisecond)); ok {
+		t.Error("an ACK overlapping the reserved slot must not be granted")
+	}
+}
+
+// TestRunConcurrentRejectsHooks checks the goroutine driver refuses the
+// hooks that would run on node goroutines.
+func TestRunConcurrentRejectsHooks(t *testing.T) {
+	for name, hooks := range map[string]Hooks{
+		"OnDecision":   {OnDecision: func(int, simtime.Time, int, int, bool) {}},
+		"OnPacketDone": {OnPacketDone: func(int, bool, int, int) {}},
+		"OnMonth":      {OnMonth: func(simtime.Time, []*Node) {}},
+	} {
+		s, err := New(smallScenario(config.ProtocolBLA), hooks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RunConcurrent(nil); err == nil {
+			t.Errorf("%s: RunConcurrent accepted a per-node hook", name)
+		}
+	}
+}

@@ -1,11 +1,11 @@
 // Package testbed emulates the paper's physical experiment (Sec. IV-B):
 // ten LoRa nodes and one gateway on a single shared channel, each node a
-// real concurrently executing goroutine running the same protocol code
-// as the simulator. Time is virtual: a deterministic lock-step clock
-// advances only when every participant is asleep, so a 24-hour
-// experiment completes in seconds while preserving true asynchrony
-// between nodes (goroutines awake at the same virtual instant really do
-// race, as physical nodes do).
+// real concurrently executing goroutine stepping the simulator's own
+// node lifecycle (sim.RunConcurrent). Time is virtual: a deterministic
+// lock-step clock advances only when every participant is asleep, so a
+// 24-hour experiment completes in seconds while preserving true
+// asynchrony between nodes (goroutines awake at the same virtual
+// instant really do race, as physical nodes do).
 package testbed
 
 import (

@@ -75,9 +75,13 @@ func TestClockSimultaneousWakeups(t *testing.T) {
 	var awake atomic.Int32
 	var maxAwake atomic.Int32
 
-	var wg sync.WaitGroup
+	// Register every worker before any starts, or the first to sleep
+	// advances the clock alone.
 	for i := 0; i < workers; i++ {
 		c.AddWorker()
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -1,85 +1,94 @@
-package testbed
+package testbed_test
 
 import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/experiment"
 	"repro/internal/faults"
 	"repro/internal/lora"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/simtime"
+	"repro/internal/testbed"
 )
 
-// paperSetup mirrors Sec. IV-B: 10 nodes, 10-minute sampling period,
-// 1-minute forecast windows, one 125 kHz channel at SF10, 24 hours.
-func paperSetup(protocol config.ProtocolKind, theta float64) config.Scenario {
-	cfg := config.Default().WithSeed(3)
-	cfg.Nodes = 10
-	cfg.Protocol = protocol
-	cfg.Theta = theta
-	cfg.PeriodMin = 10 * simtime.Minute
-	cfg.PeriodMax = 10 * simtime.Minute
-	cfg.FixedSF = lora.SF10
-	cfg.Channels = 1
-	cfg.Duration = 24 * simtime.Hour
-	cfg.ForecastPrimeDays = 2
-	cfg.StartSpread = 5 * simtime.Second
-	// A 24 h experiment needs w_u dissemination faster than the daily
-	// cadence of a mature deployment.
-	cfg.DegradationInterval = simtime.Hour
-	// The physical testbed emulates a real battery (~400 mAh LiPo), not
-	// the 24-h-autonomy sizing of the large-scale study.
-	cfg.BatteryCapacityJ = 5300
-	return cfg
+// scenario is experiment.TestbedScenario, the paper's Sec. IV-B setup,
+// at one seed.
+func scenario(seed uint64, protocol config.ProtocolKind, theta float64) config.Scenario {
+	return experiment.TestbedScenario(experiment.Options{Seed: seed}, protocol, theta)
 }
 
-// TestTestbedBrownoutRejoinsNeverReregisters is the testbed twin of
-// the simulator's TestSimBrownoutRejoinsNeverReregisters: a node
-// restarting after a brownout must be re-admitted through Rejoin
-// (history and dedup watermarks preserved), never through Register
-// (battery-replacement semantics — watermark and history reset, see
-// netserver.Register). The Gateway deliberately exposes no Register
-// method; this pins the contract with counters so a future "helpful"
-// re-registration path cannot slip in unnoticed.
-func TestTestbedBrownoutRejoinsNeverReregisters(t *testing.T) {
-	cfg := paperSetup(config.ProtocolBLA, 1)
-	cfg.Faults = faults.Config{BrownoutMTBF: 4 * simtime.Hour}
-	rec := obs.New(obs.Manifest{Tool: "test"}, 0)
-	res, err := RunObserved(cfg, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var brownouts int64
-	for _, n := range res.Nodes {
-		brownouts += n.Stats.Brownouts
-	}
-	if brownouts == 0 {
-		t.Fatal("4h MTBF over 24h x 10 nodes produced no brownouts; assertion would be vacuous")
-	}
-	if registers := rec.Counter("netserver.registers").Value(); registers != int64(cfg.Nodes) {
-		t.Errorf("netserver.registers = %d, want exactly one per node (%d): a live node was re-registered",
-			registers, cfg.Nodes)
-	}
-	if rejoins := rec.Counter("netserver.rejoins").Value(); rejoins != brownouts {
-		t.Errorf("netserver.rejoins = %d, want one per brownout (%d)", rejoins, brownouts)
+// TestBrownoutRejoinsNeverReregisters pins the join-path contract the
+// network server's dedup watermarks depend on, under both drivers of the
+// node lifecycle. A node that browns out and comes back is the same
+// battery with the same history, so it must be re-admitted through
+// Rejoin (history and watermarks preserved), never through Register
+// (battery-replacement semantics — watermarks and history reset, see
+// netserver.Register). If a rejoin path ever drifted to Register, every
+// retransmit already in flight at the brownout would be re-ingested as
+// fresh data and w_u would silently fork from the node's real history.
+func TestBrownoutRejoinsNeverReregisters(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(config.Scenario, *obs.Recorder) (*sim.Result, error)
+	}{
+		{"sim", func(cfg config.Scenario, rec *obs.Recorder) (*sim.Result, error) {
+			s, err := sim.New(cfg, sim.Hooks{Obs: rec})
+			if err != nil {
+				return nil, err
+			}
+			return s.Run()
+		}},
+		{"testbed", testbed.RunObserved},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := scenario(3, config.ProtocolBLA, 1)
+			cfg.Faults = faults.Config{BrownoutMTBF: 4 * simtime.Hour}
+			rec := obs.New(obs.Manifest{Tool: "test"}, 0)
+			res, err := tc.run(cfg, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var brownouts int64
+			for _, n := range res.Nodes {
+				brownouts += n.Stats.Brownouts
+			}
+			if brownouts == 0 {
+				t.Fatal("4h MTBF over 24h x 10 nodes produced no brownouts; assertion would be vacuous")
+			}
+			if registers := rec.Counter("netserver.registers").Value(); registers != int64(cfg.Nodes) {
+				t.Errorf("netserver.registers = %d, want exactly one per node (%d): a live node was re-registered",
+					registers, cfg.Nodes)
+			}
+			if rejoins := rec.Counter("netserver.rejoins").Value(); rejoins != brownouts {
+				t.Errorf("netserver.rejoins = %d, want one per brownout (%d)", rejoins, brownouts)
+			}
+		})
 	}
 }
 
 func TestRunRejectsInvalid(t *testing.T) {
-	cfg := paperSetup(config.ProtocolBLA, 1)
+	cfg := scenario(3, config.ProtocolBLA, 1)
 	cfg.Nodes = 0
-	if _, err := Run(cfg); err == nil {
+	if _, err := testbed.Run(cfg); err == nil {
 		t.Error("invalid scenario should fail")
 	}
-	eol := paperSetup(config.ProtocolBLA, 1)
+	eol := scenario(3, config.ProtocolBLA, 1)
 	eol.RunToEoL = true
-	if _, err := Run(eol); err == nil {
+	if _, err := testbed.Run(eol); err == nil {
 		t.Error("run-to-EoL should be rejected on the testbed")
 	}
 }
 
+// TestTestbed24hInvariants checks the paper's testbed over seeds 1–10.
+// The paper reports PRR 100 % for both protocols on its 10-node
+// testbed. H-100 comes close on every node; LoRaWAN's ALOHA collisions
+// on the single SF10 channel leave a few unlucky nodes well below that
+// on some seeds, so its delivery is bounded per network and on average.
 func TestTestbed24hInvariants(t *testing.T) {
+	const seeds = 10
 	for _, tc := range []struct {
 		protocol config.ProtocolKind
 		theta    float64
@@ -87,37 +96,47 @@ func TestTestbed24hInvariants(t *testing.T) {
 		{config.ProtocolLoRaWAN, 1},
 		{config.ProtocolBLA, 1}, // the paper's H-100 testbed config
 	} {
-		tc := tc
-		cfg := paperSetup(tc.protocol, tc.theta)
-		t.Run(cfg.ProtocolLabel(), func(t *testing.T) {
+		t.Run(scenario(1, tc.protocol, tc.theta).ProtocolLabel(), func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
+			var netPRR metrics.Welford
+			for seed := uint64(1); seed <= seeds; seed++ {
+				res, err := testbed.Run(scenario(seed, tc.protocol, tc.theta))
+				if err != nil {
+					t.Fatalf("seed %d: Run: %v", seed, err)
+				}
+				if len(res.Nodes) != 10 {
+					t.Fatalf("seed %d: nodes = %d, want 10", seed, len(res.Nodes))
+				}
+				var delivered, settled int64
+				for _, n := range res.Nodes {
+					s := n.Stats
+					// 24 h at a 10-minute period: ~144 packets per node.
+					if s.Generated < 130 || s.Generated > 150 {
+						t.Errorf("seed %d node %d generated %d packets, want ~144", seed, n.ID, s.Generated)
+					}
+					if s.Delivered+s.Dropped > s.Generated || s.Generated-(s.Delivered+s.Dropped) > 1 {
+						t.Errorf("seed %d node %d: packet accounting broken: %+v", seed, n.ID, s)
+					}
+					if tc.protocol == config.ProtocolBLA && s.PRR() < 0.95 {
+						t.Errorf("seed %d node %d: H-100 PRR = %v, want >= 0.95", seed, n.ID, s.PRR())
+					}
+					if n.SF != lora.SF10 {
+						t.Errorf("seed %d node %d SF = %v, want SF10", seed, n.ID, n.SF)
+					}
+					if n.Degradation.Total <= 0 {
+						t.Errorf("seed %d node %d degradation should be positive after 24 h", seed, n.ID)
+					}
+					delivered += s.Delivered
+					settled += s.Delivered + s.Dropped
+				}
+				prr := float64(delivered) / float64(settled)
+				if prr < 0.85 {
+					t.Errorf("seed %d: network PRR = %.3f, want >= 0.85", seed, prr)
+				}
+				netPRR.Add(prr)
 			}
-			if len(res.Nodes) != 10 {
-				t.Fatalf("nodes = %d, want 10", len(res.Nodes))
-			}
-			for _, n := range res.Nodes {
-				s := n.Stats
-				// 24 h at a 10-minute period: ~144 packets per node.
-				if s.Generated < 130 || s.Generated > 150 {
-					t.Errorf("node %d generated %d packets, want ~144", n.ID, s.Generated)
-				}
-				if s.Delivered+s.Dropped > s.Generated || s.Generated-(s.Delivered+s.Dropped) > 1 {
-					t.Errorf("node %d: packet accounting broken: %+v", n.ID, s)
-				}
-				// The paper reports PRR 100% for both protocols on the
-				// small testbed; allow a whisker of slack.
-				if prr := s.PRR(); prr < 0.9 {
-					t.Errorf("node %d PRR = %v, want ~1 on a 10-node testbed", n.ID, prr)
-				}
-				if n.SF != lora.SF10 {
-					t.Errorf("node %d SF = %v, want SF10", n.ID, n.SF)
-				}
-				if n.Degradation.Total <= 0 {
-					t.Errorf("node %d degradation should be positive after 24 h", n.ID)
-				}
+			if netPRR.Mean() < 0.9 {
+				t.Errorf("network PRR averages %.3f over seeds 1-%d, want >= 0.9", netPRR.Mean(), seeds)
 			}
 		})
 	}
@@ -127,11 +146,11 @@ func TestTestbed24hInvariants(t *testing.T) {
 // H-100 has lower cycle aging than LoRaWAN after 24 hours, and LoRaWAN
 // has lower latency.
 func TestTestbedFig9Shape(t *testing.T) {
-	lw, err := Run(paperSetup(config.ProtocolLoRaWAN, 1))
+	lw, err := testbed.Run(scenario(3, config.ProtocolLoRaWAN, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h100, err := Run(paperSetup(config.ProtocolBLA, 1))
+	h100, err := testbed.Run(scenario(3, config.ProtocolBLA, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +172,11 @@ func TestTestbedFig9Shape(t *testing.T) {
 	}
 }
 
-// TestTestbedMatchesSimulatorProtocolCode ensures both substrates drive
-// the same MAC implementation: a BLA node on the testbed must produce
-// window histograms beyond window 0, like the simulator.
+// TestTestbedUsesWindows ensures the testbed drives the real MAC: BLA
+// nodes on the testbed must spread their packets over more than one
+// forecast window, as they do in the simulator.
 func TestTestbedUsesWindows(t *testing.T) {
-	res, err := Run(paperSetup(config.ProtocolBLA, 0.5))
+	res, err := testbed.Run(scenario(3, config.ProtocolBLA, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
