@@ -37,8 +37,8 @@ func TestSweep1000NodesAllocsHalvedVsPR6(t *testing.T) {
 		}
 	}
 	// Warm pass, mirroring the benchmark's warmSim: the first run in a
-	// process pays one-off costs (profile caches, event pools) the
-	// committed baseline amortizes away.
+	// process pays one-off costs (the shared solar year trace, heap
+	// growth) the committed baseline amortizes away.
 	run()
 
 	var before, after runtime.MemStats

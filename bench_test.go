@@ -252,10 +252,10 @@ func BenchmarkSolarEnergyQuery(b *testing.B) {
 }
 
 // warmSim runs one untimed simulation so the timed iterations measure
-// steady state: the first run in a process pays one-off costs (priming
-// the forecaster profile cache, populating event pools) that later
-// iterations reuse. Without this, a -benchtime 1x CI smoke run reports
-// inflated B/op relative to the amortized committed baseline.
+// steady state: the first run in a process pays one-off costs
+// (synthesizing the shared solar year trace, growing the heap) that
+// later iterations reuse. Without this, a -benchtime 1x CI smoke run
+// reports inflated B/op relative to the amortized committed baseline.
 func warmSim(b *testing.B, cfg config.Scenario) {
 	b.Helper()
 	s, err := sim.New(cfg, sim.Hooks{})

@@ -34,6 +34,16 @@ import (
 	"repro/internal/simtime"
 )
 
+// Slow-client bounds. A client gets readHeaderTimeout to send each
+// request's headers and may hold a keep-alive connection idle for
+// idleTimeout between requests; both sit well above the longest
+// keep-alive replay stream the load tools drive (about 15 s), so only
+// stalled or hostile connections are cut.
+const (
+	readHeaderTimeout = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "lnsd:", err)
@@ -81,7 +91,12 @@ func run() error {
 		log.Printf("lnsd: restored %d nodes from %s", len(snap.Nodes), *restore)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: d.Handler()}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("lnsd: listening on %s (%d shard(s))", *addr, *shards)

@@ -137,54 +137,6 @@ func (b *Battery) Discharge(now simtime.Time, joules float64) float64 {
 // given energy.
 func (b *Battery) CanSupply(joules float64) bool { return b.stored >= joules }
 
-// DischargeRun draws step joules per sample for count consecutive
-// samples — the node integrator's idle night span, one sample per
-// minute — leaving every observable (stored energy, SoC-trace counter
-// state, transitions, sample count) exactly as count sequential
-// Discharge(_, step) calls would. The stored-energy updates run the
-// identical one-subtraction-per-sample chain (never a summed batch,
-// which would re-associate), but once the counter is mid-run in the
-// falling direction the per-sample SoC pushes collapse via
-// Counter.ExtendRun: interior samples of a strictly decreasing run are
-// never turning points, record no transitions, and cannot flip the
-// direction, so only the final extremum matters.
-//
-// now is the instant of the run's first sample. It is only ever used
-// for transition timestamps, and a run can record at most one
-// transition — at its first supplying sample, before the fast path
-// engages — so the single instant reproduces the per-call path's
-// timestamps exactly.
-func (b *Battery) DischargeRun(now simtime.Time, step float64, count int) {
-	for count > 0 {
-		c := &b.tracker.counter
-		if c.dir == -1 && b.lastDir == -1 && b.stored > 0 && step > 0 {
-			// Mid-run: every further supplying sample strictly lowers the
-			// SoC (the stored-energy chain is strictly decreasing and
-			// division by the positive capacity is monotone), continuing
-			// the falling run until the battery empties; samples after
-			// that supply nothing and push nothing.
-			k := 0
-			for i := 0; i < count; i++ {
-				supplied := min(step, b.stored)
-				if supplied <= 0 {
-					break
-				}
-				b.stored -= supplied
-				k++
-			}
-			c.ExtendRun(b.soc(), k)
-			return
-		}
-		// First sample (or an empty/degenerate battery): the full path
-		// handles direction flips, transition recording, and run
-		// establishment. At most one supplying sample lands here — it
-		// leaves both direction markers falling — so the loop re-tests
-		// the fast path immediately after.
-		b.Discharge(now, step)
-		count--
-	}
-}
-
 // record pushes the post-operation SoC into the ground-truth tracker and
 // logs a reportable transition when the charge/discharge direction flips.
 func (b *Battery) record(now simtime.Time, dir int) {

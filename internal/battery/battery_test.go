@@ -1,7 +1,6 @@
 package battery
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"repro/internal/simtime"
@@ -227,70 +226,5 @@ func TestTrackerMeanSoCFallback(t *testing.T) {
 	}
 	if bd.Calendar <= 0 {
 		t.Error("calendar aging should accrue regardless of cycling")
-	}
-}
-
-// TestDischargeRunMatchesSequentialDischarges pins the collapsed run
-// path bit-for-bit against count sequential Discharge calls across
-// randomized mixed histories: every observable — stored energy, sample
-// count, transitions, and all later degradation queries — must match
-// exactly, including runs that empty the battery mid-way, runs entered
-// right after a charge (direction flip at the first sample), and runs
-// on a battery that never moved (no established direction).
-func TestDischargeRunMatchesSequentialDischarges(t *testing.T) {
-	rng := rand.New(rand.NewPCG(0xd15c, 0x4a11))
-	for trial := 0; trial < 200; trial++ {
-		cap := 50 + rng.Float64()*100
-		soc := rng.Float64()
-		ref := newTestBattery(t, cap, soc)
-		run := newTestBattery(t, cap, soc)
-		now := simtime.Time(simtime.Hour)
-
-		// Random warm-up history, shared verbatim.
-		for i, ops := 0, rng.IntN(6); i < ops; i++ {
-			j := rng.Float64() * 10
-			if rng.IntN(2) == 0 {
-				ref.Charge(now, j)
-				run.Charge(now, j)
-			} else {
-				ref.Discharge(now, j)
-				run.Discharge(now, j)
-			}
-			now += simtime.Time(simtime.Minute)
-		}
-
-		step := []float64{0.05, 1.5, cap}[rng.IntN(3)] // tiny, typical, instantly-emptying
-		count := 1 + rng.IntN(900)
-		for i := 0; i < count; i++ {
-			ref.Discharge(now+simtime.Time(int64(i)*int64(simtime.Minute)), step)
-		}
-		run.DischargeRun(now, step, count)
-
-		if ref.Stored() != run.Stored() {
-			t.Fatalf("trial %d: stored %v != %v", trial, ref.Stored(), run.Stored())
-		}
-		if ref.tracker.Samples() != run.tracker.Samples() {
-			t.Fatalf("trial %d: samples %d != %d", trial, ref.tracker.Samples(), run.tracker.Samples())
-		}
-		age := simtime.Duration(now) + 2*simtime.Day
-		if refD, runD := ref.tracker.Damage(age), run.tracker.Damage(age); refD != runD {
-			t.Fatalf("trial %d: damage %+v != %+v", trial, refD, runD)
-		}
-		refTr, runTr := ref.DrainTransitions(), run.DrainTransitions()
-		if len(refTr) != len(runTr) {
-			t.Fatalf("trial %d: transitions %v != %v", trial, refTr, runTr)
-		}
-		for i := range refTr {
-			if refTr[i] != runTr[i] {
-				t.Fatalf("trial %d: transition %d: %+v != %+v", trial, i, refTr[i], runTr[i])
-			}
-		}
-		// The collapsed run must leave the counter mid-run exactly like
-		// the sequential path: a follow-up flip and query still agree.
-		ref.Charge(now, 3)
-		run.Charge(now, 3)
-		if refD, runD := ref.tracker.Damage(age+simtime.Hour), run.tracker.Damage(age+simtime.Hour); refD != runD {
-			t.Fatalf("trial %d: post-flip damage %+v != %+v", trial, refD, runD)
-		}
 	}
 }

@@ -126,28 +126,6 @@ func (c *Counter) Push(v float64) {
 // changed. It lets callers memoize results on exact inputs.
 func (c *Counter) Revision() uint64 { return c.rev }
 
-// ExtendRun collapses k consecutive Push calls that provably continue
-// the current monotone run: every collapsed sample lies between the
-// current provisional extremum and v, ordered in the established
-// direction (equal neighbours permitted — those pushes are no-ops).
-// Interior points of a monotone run are never turning points, so the
-// stack and direction are untouched; the extremum advances to v, the
-// sample count by k, and the revision bumps when the extremum moved.
-// The caller owns the precondition: the run must not reverse or
-// establish a direction (c.dir != 0 and sign(v-last) is c.dir or 0).
-// Battery.DischargeRun is the only intended user.
-func (c *Counter) ExtendRun(v float64, k int) {
-	if k <= 0 {
-		return
-	}
-	c.n += k
-	if v == c.last {
-		return
-	}
-	c.last = v
-	c.rev++
-}
-
 func (c *Counter) pushTurningPoint(p float64) {
 	// The probe slice and the emit callback are cached on the counter: a
 	// `[]float64{p}` literal and a `c.emit` method value would both heap

@@ -155,6 +155,50 @@ func TestCounterMatchesBatch(t *testing.T) {
 	}
 }
 
+// FuzzCounterMatchesRainflow: at every prefix of a fuzzed SoC stream,
+// the incremental Counter's emitted cycles plus its PendingCycles must
+// equal batch Rainflow of the prefix. Push is the counter's only write
+// path, so this pins all of it. The first input byte sets the number of
+// quantization levels L; every further byte b is one sample
+// (b mod (L+1))/L in [0, 1], so small L provokes plateaus and
+// equal-range ties.
+func FuzzCounterMatchesRainflow(f *testing.F) {
+	// Plateaus: flat streams, a flat top, a flat valley, ties between
+	// adjacent ranges.
+	f.Add([]byte{4, 2, 2, 2, 2})
+	f.Add([]byte{4, 0, 4, 4, 4, 0})
+	f.Add([]byte{4, 4, 0, 0, 0, 4, 4, 0})
+	f.Add([]byte{4, 0, 2, 0, 2, 0, 2, 2, 4})
+	// The quantized streams of TestCounterMatchesBatch: 12 levels, k/11.
+	for seed := uint64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 23))
+		data := []byte{11}
+		for n := 1 + rng.IntN(50); n > 0; n-- {
+			data = append(data, byte(rng.IntN(12)))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 257 {
+			return // each prefix is re-counted in batch: keep n small
+		}
+		levels := max(1, int(data[0]))
+		pts := make([]float64, len(data)-1)
+		for i, b := range data[1:] {
+			pts[i] = float64(int(b)%(levels+1)) / float64(levels)
+		}
+		var emitted []Cycle
+		c := &Counter{OnCycle: func(cy Cycle) { emitted = append(emitted, cy) }}
+		for i, p := range pts {
+			c.Push(p)
+			got := append(append([]Cycle(nil), emitted...), c.PendingCycles()...)
+			if want := Rainflow(pts[:i+1]); !sameCycles(got, want) {
+				t.Fatalf("prefix %v: counter %v, batch %v", pts[:i+1], got, want)
+			}
+		}
+	})
+}
+
 // TestCounterInvariantUnderInterleavedAppendPending: AppendPending is a
 // read-only query that reuses internal scratch, so calling it between
 // pushes — zero, one, or many times, with fresh or recycled dst slices —

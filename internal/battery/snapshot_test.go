@@ -141,12 +141,12 @@ func TestCounterSnapshotIsolated(t *testing.T) {
 }
 
 // TestTrackerSnapshotAfterSpanRuns extends the round-trip proof to
-// span-integrated histories: the SoC trace is produced by the collapsed
-// DischargeRun primitive (the kernel's idle-night path), the
-// tracker is snapshotted mid-run, serialized, restored, and both sides
-// then continue through more spans. Every Damage query must stay
-// bit-identical — the counter state ExtendRun leaves behind (run length,
-// pending extremum, direction, stack) must survive persistence exactly.
+// span-integrated histories: the SoC trace alternates single charges
+// with long falling runs of per-minute discharges (the kernel's idle
+// night), the tracker is snapshotted mid-run, serialized, restored, and
+// both sides then continue through more spans. Every Damage query must
+// stay bit-identical — the mid-run counter state (run length, pending
+// extremum, direction, stack) must survive persistence exactly.
 func TestTrackerSnapshotAfterSpanRuns(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewPCG(0x5ba7, uint64(trial)))
@@ -161,7 +161,8 @@ func TestTrackerSnapshotAfterSpanRuns(t *testing.T) {
 		now := simtime.Time(simtime.Hour)
 
 		// spans drives one battery through alternating phases: one real
-		// Charge (a turning point) and a falling span via DischargeRun.
+		// Charge (a turning point) and a falling span of k sequential
+		// one-minute Discharges.
 		spans := func(b *Battery, phases int) {
 			at := now
 			for p := 0; p < phases; p++ {
@@ -169,9 +170,10 @@ func TestTrackerSnapshotAfterSpanRuns(t *testing.T) {
 					b.Charge(at, 0.5)
 					at += simtime.Time(simtime.Minute)
 				} else {
-					k := 5 + rng.IntN(200)
-					b.DischargeRun(at, 0.03, k)
-					at += simtime.Time(int64(k) * int64(simtime.Minute))
+					for k := 5 + rng.IntN(200); k > 0; k-- {
+						b.Discharge(at, 0.03)
+						at += simtime.Time(simtime.Minute)
+					}
 				}
 			}
 		}

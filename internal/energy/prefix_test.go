@@ -88,8 +88,8 @@ func TestEnergyPrefixLazy(t *testing.T) {
 	src := yt.NodeSource(1, 0.09, 0.25).(*nodeSource)
 	const minuteT = simtime.Time(simtime.Minute)
 
-	for m := int64(0); m < 2*minutesPerDay; m++ {
-		src.MinutePower(m)
+	for d := int64(0); d < 2; d++ {
+		src.DayPowers(d)
 	}
 	src.Energy(0, simtime.Time(prefixSpanMinutes-1)*minuteT)
 	if src.prefix != nil || src.prefixDay != -1 {
@@ -105,10 +105,10 @@ func TestEnergyPrefixLazy(t *testing.T) {
 	}
 }
 
-// TestPrimeFastPathsMatchObserveReplay: all three Prime branches — the
-// in-package day-cache walk, the generic MinuteSource walk, and the
-// legacy Observe replay — must leave bit-identical profiles, since each
-// training observation is exactly one full minute slot.
+// TestPrimeFastPathsMatchObserveReplay: both Prime branches — the
+// MinuteSource day walk and the generic Observe replay — must leave
+// bit-identical profiles, since each training observation is exactly
+// one full minute slot.
 func TestPrimeFastPathsMatchObserveReplay(t *testing.T) {
 	yt := newTestTrace(t, 9)
 	const days = 3
@@ -116,28 +116,14 @@ func TestPrimeFastPathsMatchObserveReplay(t *testing.T) {
 	fast := NewDiurnalEWMA(0.3)
 	fast.Prime(yt.NodeSource(5, 0.09, 0.25), days)
 
-	// Hide the concrete type so Prime takes the generic MinuteSource walk.
-	generic := NewDiurnalEWMA(0.3)
-	generic.Prime(struct{ MinuteSource }{yt.NodeSource(5, 0.09, 0.25).(*nodeSource)}, days)
-
-	// Replay the legacy path by hand: one Observe per simulated minute.
+	// Hide the MinuteSource method so Prime takes the Observe replay.
 	slow := NewDiurnalEWMA(0.3)
-	src := yt.NodeSource(5, 0.09, 0.25)
-	for d := 0; d < days; d++ {
-		for m := 0; m < minutesPerDay; m++ {
-			from := simtime.Time(d*minutesPerDay+m) * simtime.Time(simtime.Minute)
-			to := from.Add(simtime.Minute)
-			slow.Observe(from, to, src.Energy(from, to))
-		}
-	}
+	slow.Prime(struct{ Source }{yt.NodeSource(5, 0.09, 0.25)}, days)
 
 	for m := 0; m < minutesPerDay; m++ {
 		if fast.profile[m] != slow.profile[m] || fast.seen[m] != slow.seen[m] {
-			t.Fatalf("slot %d: day-cache Prime %v (seen %v), Observe replay %v (seen %v)",
+			t.Fatalf("slot %d: MinuteSource Prime %v (seen %v), Observe replay %v (seen %v)",
 				m, fast.profile[m], fast.seen[m], slow.profile[m], slow.seen[m])
-		}
-		if generic.profile[m] != slow.profile[m] {
-			t.Fatalf("slot %d: generic Prime %v, Observe replay %v", m, generic.profile[m], slow.profile[m])
 		}
 	}
 }

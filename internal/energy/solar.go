@@ -23,16 +23,13 @@ type Source interface {
 }
 
 // MinuteSource is implemented by sources that can answer per-minute
-// queries in O(1) from a precomputed cache. MinutePower(m) is
-// bit-identical to Power anywhere inside minute m, and
-// MinutePower(m) * 60.0 is bit-identical to Energy over the full
+// queries in O(1) from a precomputed cache. DayPowers(d)[m] is
+// bit-identical to Power anywhere inside minute m of day d, and
+// DayPowers(d)[m] * 60.0 is bit-identical to Energy over the full
 // minute — the contract the node integrator and forecaster priming
-// fast paths rely on.
+// rely on.
 type MinuteSource interface {
 	Source
-	// MinutePower returns the harvested power in watts during the
-	// absolute minute [m·1min, (m+1)·1min).
-	MinutePower(minute int64) float64
 	// DayPowers returns the per-minute powers of the given simulated
 	// day, indexed by minute-of-day. The returned slice is the source's
 	// internal cache: it is read-only and valid only until the next
@@ -506,15 +503,6 @@ func (s *nodeSource) ensurePrefix(day int64) {
 		s.prefix[m+1] = cum
 	}
 	s.prefixDay = day
-}
-
-// MinutePower implements MinuteSource.
-func (s *nodeSource) MinutePower(minute int64) float64 {
-	if minute < 0 {
-		return 0
-	}
-	s.ensureDay(minute / minutesPerDay)
-	return s.minuteP[minute%minutesPerDay]
 }
 
 // DayPowers implements MinuteSource.

@@ -511,6 +511,10 @@ func (d *Daemon) Handler() http.Handler {
 		if !decodeBody(w, r, &b) {
 			return
 		}
+		if err := b.Validate(); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		// An empty batch is a no-op, not work: acknowledging it without
 		// enqueuing keeps batches_applied and ingest_ns_total meaning
 		// "batches that carried uplinks" (and keeps a keep-alive poster

@@ -658,6 +658,51 @@ func TestRegisterRejectsOutOfRangeSoC(t *testing.T) {
 	}
 }
 
+// TestUplinksRejectOutOfRangeTimes: POST /v1/uplinks must answer 400
+// for any uplink with a negative at_ms or a non-positive window_ms
+// before touching a lane, and must not apply the batch's valid uplinks
+// either. A negative window would decode reports into the future and
+// advance the node's report watermark past its later real reports.
+func TestUplinksRejectOutOfRangeTimes(t *testing.T) {
+	cases := []struct {
+		body string
+		want int
+	}{
+		{`{"uplinks":[{"node":0,"at_ms":-1,"window_ms":60000}]}`, http.StatusBadRequest},
+		{`{"uplinks":[{"node":0,"at_ms":120000,"window_ms":0}]}`, http.StatusBadRequest},
+		{`{"uplinks":[{"node":0,"at_ms":120000,"window_ms":-60000,"reports":[{"ago":1,"soc_q":30000}]}]}`, http.StatusBadRequest},
+		{`{"uplinks":[{"node":0,"at_ms":60000,"window_ms":60000},{"node":0,"at_ms":120000,"window_ms":-1}]}`, http.StatusBadRequest},
+		{`{"uplinks":[{"node":0,"at_ms":0,"window_ms":1}]}`, http.StatusAccepted},
+		{`{"uplinks":[{"node":0,"at_ms":120000,"window_ms":60000,"reports":[{"ago":1,"soc_q":30000}]}]}`, http.StatusAccepted},
+	}
+	for _, tc := range cases {
+		d, err := NewDaemon(Config{Shards: 2})
+		if err != nil {
+			t.Fatalf("NewDaemon: %v", err)
+		}
+		d.RegisterAll([]RegisterNode{{Node: 0, SoC: 0.9}})
+		ts := httptest.NewServer(d.Handler())
+		resp, err := ts.Client().Post(ts.URL+"/v1/uplinks", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.body, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+		}
+		d.WuTable() // barrier: every lane drained
+		wantApplied := int64(0)
+		if tc.want == http.StatusAccepted {
+			wantApplied = 1
+		}
+		if got := d.Recorder().Counter("lns.batches_applied").Value(); got != wantApplied {
+			t.Errorf("%s: %d batches applied, want %d", tc.body, got, wantApplied)
+		}
+		ts.Close()
+		d.Close()
+	}
+}
+
 // TestBackpressure429: when the ingest lane is full, POST /v1/uplinks
 // must answer 429 with a Retry-After hint, reject without corrupting
 // state, and accept again once the lane drains.

@@ -54,6 +54,23 @@ type Batch struct {
 	Uplinks []Uplink `json:"uplinks"`
 }
 
+// Validate reports the first uplink whose reception instant is negative
+// or whose forecast window is not positive. Reports decode to
+// at − ago·window, so a negative window would date them in the future
+// and advance the node's report watermark past its later real reports,
+// which would then be dropped as stale.
+func (b Batch) Validate() error {
+	for _, u := range b.Uplinks {
+		if u.AtMs < 0 {
+			return fmt.Errorf("node %d: at_ms %d is negative", u.Node, u.AtMs)
+		}
+		if u.WindowMs <= 0 {
+			return fmt.Errorf("node %d: window_ms %d must be positive", u.Node, u.WindowMs)
+		}
+	}
+	return nil
+}
+
 // RegisterNode is one entry of a registration request. Rejoin selects
 // the history-preserving re-admission (netserver.Rejoin) for a node
 // that restarted; a plain register on a live node resets its

@@ -75,23 +75,6 @@ func (n *Node) ensureCore() (*soa, int) {
 	return n.core, n.idx
 }
 
-// dayPowers is the fast kernel's per-node cache of DayPowers: the
-// integrator wakes once per event, so without the cache the dynamic
-// dispatch plus the source's own day check run hundreds of times per
-// simulated day to return the same slice. Sound only for fast-kernel
-// nodes: their diurnal-EWMA forecaster never queries the source, so the
-// kernel's own DayPowers calls are the only thing that refills the
-// source's rolling day cache (a Perfect/Noisy forecaster peeking at
-// future days would invalidate the cached contents behind our back —
-// those nodes run the generic path, which calls the source every time).
-func (n *Node) dayPowers(day int64) []float64 {
-	if n.powCache == nil || n.powDay != day {
-		n.powCache = n.srcMin.DayPowers(day)
-		n.powDay = day
-	}
-	return n.powCache
-}
-
 // debugGenericIntegrate forces every node through the generic
 // integration path; the SoA oracle test uses it to pin the fused kernel
 // bit-for-bit against the reference implementation.
@@ -138,10 +121,9 @@ func (n *Node) integrate(to simtime.Time) {
 // accept re-arms the at-capacity span, each through the end of the next
 // day. The revision guard (fastRev) catches any battery push the kernel
 // did not make itself — a direct Discharge by fault injection, say —
-// and falls back to the real path, which re-proves before re-arming;
-// within one integrateFast call the kernel owns the battery, so the
-// guard is hoisted into revOK and maintained at the kernel's own ops
-// instead of re-queried every minute.
+// and falls back to the real path, which re-proves before re-arming.
+// It is checked last in each span case, so only a minute inside an
+// armed span pays for the read.
 func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 	b := c.batt[i]
 	ew := n.fcEWMA
@@ -150,7 +132,7 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 	minute := int64(cursor / minuteT)
 	day := minute / minutesPerDay
 	dayStart := day * minutesPerDay
-	pow := n.dayPowers(day)
+	pow := n.srcMin.DayPowers(day)
 	sleep60 := c.sleepW60[i]
 	extra := c.extraDrawJ[i]
 	c.extraDrawJ[i] = 0
@@ -158,25 +140,16 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 	fastUntil := c.fastUntil[i]
 	fastLimit := c.fastLimit[i]
 	armRev := c.fastRev[i]
-	// The revision guard read chases battery → tracker → counter, a cold
-	// line on the night path where both spans are disarmed (any Discharge
-	// zeroes them) — so only pay for it when an armed span could use it.
-	revOK := false
-	if skipUntil > from || fastUntil > from {
-		revOK = b.CounterRev() == armRev
-	}
 	for cursor < to {
 		if minute-dayStart >= minutesPerDay {
 			day = minute / minutesPerDay
 			dayStart = day * minutesPerDay
-			pow = n.dayPowers(day)
+			pow = n.srcMin.DayPowers(day)
 		}
 		p := pow[minute-dayStart]
 		next := simtime.Time(minute+1) * minuteT
 		var net float64
-		whole := false
 		if next <= to && cursor == simtime.Time(minute)*minuteT {
-			whole = true
 			harvest := p * 60.0
 			ew.ObserveFullSlot(int(minute-dayStart), harvest)
 			net = harvest - sleep60 - extra
@@ -192,11 +165,10 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 		extra = 0
 		if net > 0 {
 			switch {
-			case next <= skipUntil && revOK:
+			case next <= skipUntil && b.CounterRev() == armRev:
 				// At-capacity span: the Charge would reject without mutating.
-			case next <= fastUntil && b.Stored()+net <= fastLimit && revOK:
+			case next <= fastUntil && b.Stored()+net <= fastLimit && b.CounterRev() == armRev:
 				armRev = b.ChargeProven(next, net)
-				revOK = true
 			default:
 				if acc := b.Charge(next, net); acc < net {
 					// At capacity (or just reached it on a partial accept).
@@ -209,7 +181,6 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 					end := simtime.Time(dayStart+2*minutesPerDay) * minuteT
 					if b.ChargeNoopUntil(next, end) {
 						skipUntil, armRev = end, b.CounterRev()
-						revOK = true
 					} else {
 						skipUntil = 0
 					}
@@ -221,7 +192,6 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 					end := simtime.Time(dayStart+2*minutesPerDay) * minuteT
 					if lim, ok := b.FullAcceptLimit(end); ok {
 						fastUntil, fastLimit, armRev = end, lim, b.CounterRev()
-						revOK = true
 					} else {
 						fastUntil = 0
 					}
@@ -231,33 +201,6 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 			b.Discharge(next, -net)
 			skipUntil = 0
 			fastUntil = 0
-			if whole && p == 0 && sleep60 > 0 {
-				// Idle night span: collapse the following run of whole
-				// zero-harvest minutes whose EWMA fold is a proven no-op
-				// (seen slot holding +0 — SlotZeroNoop). Each such minute's
-				// balance is exactly +0 − sleepW60 − 0 = −sleepW60, so the
-				// whole run is one uniform-step DischargeRun: the identical
-				// per-minute stored-energy subtraction chain with the
-				// interior SoC pushes collapsed (they are mid-run samples of
-				// a falling monotone run — never turning points, never
-				// transitions). The span invariant extends to "no event, no
-				// allocation, no degradation query, no per-minute fold or
-				// push" for sleeping nodes.
-				endM := int64(to / minuteT)
-				if dayEnd := dayStart + minutesPerDay; endM > dayEnd {
-					endM = dayEnd
-				}
-				m2 := minute + 1
-				for m2 < endM && pow[m2-dayStart] == 0 && ew.SlotZeroNoop(int(m2-dayStart)) {
-					m2++
-				}
-				if m2 > minute+1 {
-					b.DischargeRun(next+minuteT, sleep60, int(m2-minute-1))
-					cursor = simtime.Time(m2) * minuteT
-					minute = m2
-					continue
-				}
-			}
 		}
 		cursor = next
 		minute++

@@ -29,8 +29,6 @@ type Node struct {
 
 	src        energy.Source
 	srcMin     energy.MinuteSource // non-nil when src answers per-minute queries O(1)
-	powCache   []float64           // srcMin.DayPowers(powDay); the integrators wake once per event, so the interface call is cached per day
-	powDay     int64               // day powCache holds; only valid while powCache != nil
 	fc         energy.Forecaster
 	fcEWMA     *energy.DiurnalEWMA // non-nil when fc supports slot-direct observations
 	rng        *rand.Rand
