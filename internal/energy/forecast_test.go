@@ -10,8 +10,6 @@ import (
 // constantSource emits a fixed power at all times.
 type constantSource struct{ watts float64 }
 
-func (s constantSource) Power(simtime.Time) float64 { return s.watts }
-
 func (s constantSource) Energy(from, to simtime.Time) float64 {
 	if to <= from {
 		return 0

@@ -14,17 +14,15 @@ import (
 	"repro/internal/simtime"
 )
 
-// Source supplies harvested power for one node.
+// Source supplies harvested energy for one node.
 type Source interface {
-	// Power returns the instantaneous harvested power in watts at t.
-	Power(t simtime.Time) float64
 	// Energy returns the energy in joules harvested during [from, to).
 	Energy(from, to simtime.Time) float64
 }
 
 // MinuteSource is implemented by sources that can answer per-minute
-// queries in O(1) from a precomputed cache. DayPowers(d)[m] is
-// bit-identical to Power anywhere inside minute m of day d, and
+// queries in O(1) from a precomputed cache. DayPowers(d)[m] is the
+// harvested power in watts anywhere inside minute m of day d, and
 // DayPowers(d)[m] * 60.0 is bit-identical to Energy over the full
 // minute — the contract the node integrator and forecaster priming
 // rely on.
@@ -228,26 +226,19 @@ func (yt *YearTrace) At(minute int64) float64 {
 		return 0
 	}
 	year := minute / minutesPerYear
-	idx := minute % minutesPerYear
-	base := float64(yt.samples[idx])
+	base := float64(yt.samples[minute%minutesPerYear])
 	if year == 0 {
 		return base
 	}
-	// Year-to-year variability of +-8%, memoized per year.
-	var f float64
-	if year < int64(len(yt.yearFactor)) {
-		f = yt.yearFactor[year]
-	} else {
-		f = 0.92 + 0.16*hash01(yt.cfg.Seed, uint64(year), 0x9e77)
-	}
-	return min(1, base*f)
+	return min(1, base*yt.factorFor(year))
 }
 
 // Config returns the trace configuration.
 func (yt *YearTrace) Config() SolarConfig { return yt.cfg }
 
-// factorFor returns the year-to-year variability factor, memoized for
-// the precomputed years and hashed on demand beyond them.
+// factorFor returns the year-to-year variability factor (+-8%, exactly 1
+// in year 0), memoized for the precomputed years and hashed on demand
+// beyond them.
 func (yt *YearTrace) factorFor(year int64) float64 {
 	if year < int64(len(yt.yearFactor)) {
 		return yt.yearFactor[year]
@@ -255,72 +246,10 @@ func (yt *YearTrace) factorFor(year int64) float64 {
 	return 0.92 + 0.16*hash01(yt.cfg.Seed, uint64(year), 0x9e77)
 }
 
-// DayBase caches the trace's year-adjusted base powers — the common
-// sub-expression of every node's per-day harvest-cache fill — for the
-// two most recent simulated days, so the float32 conversion and
-// year-factor clamp run once per (trace, day) instead of once per
-// (node, day). Two slots keyed by day parity suffice: the simulator's
-// lanes advance all their nodes through days monotonically, with
-// cursors never more than one day apart.
-//
-// A DayBase is not safe for concurrent use; the simulator gives each
-// event lane its own instance.
-type DayBase struct {
-	trace *YearTrace
-	day   [2]int64
-	base  [2][]float64
-	// zero marks 4-minute blocks whose base powers are all zero (night):
-	// node fills write +0 there without evaluating the per-node local
-	// cloud factor, which is exact because peakW·0·lf is +0 for any
-	// finite positive peakW and non-negative lf.
-	zero [2][]bool
-}
-
-// NewDayBase returns an empty per-lane day-base cache over the trace.
-func (yt *YearTrace) NewDayBase() *DayBase {
-	return &DayBase{trace: yt, day: [2]int64{-1, -1}}
-}
-
-// Day returns the base (normalized, year-adjusted) power of every minute
-// of the given simulated day and the per-4-minute-block all-zero marks.
-// The returned slices are the cache's internal storage: read-only, valid
-// until the next Day call with a different day of the same parity.
-func (db *DayBase) Day(day int64) (base []float64, zeroBlock []bool) {
-	slot := int(day & 1)
-	if db.day[slot] == day {
-		return db.base[slot], db.zero[slot]
-	}
-	if db.base[slot] == nil {
-		db.base[slot] = make([]float64, minutesPerDay)
-		db.zero[slot] = make([]bool, minutesPerDay/4)
-	}
-	b := db.base[slot]
-	start := day * minutesPerDay
-	year := start / minutesPerYear
-	samples := db.trace.samples[start%minutesPerYear : start%minutesPerYear+minutesPerDay]
-	if year == 0 {
-		for m := range b {
-			b[m] = float64(samples[m])
-		}
-	} else {
-		f := db.trace.factorFor(year)
-		for m := range b {
-			b[m] = min(1, float64(samples[m])*f)
-		}
-	}
-	zb := db.zero[slot]
-	for blk := range zb {
-		m := blk * 4
-		zb[blk] = b[m] == 0 && b[m+1] == 0 && b[m+2] == 0 && b[m+3] == 0
-	}
-	db.day[slot] = day
-	return b, zb
-}
-
 // NodeSource derives a node's harvest source from the shared trace.
 //
-// peakW is the panel's peak electrical power (the paper sizes it so peak
-// generation over one forecast window funds two transmissions).
+// peakW (>= 0) is the panel's peak electrical power (the paper sizes it
+// so peak generation over one forecast window funds two transmissions).
 // variation adds deterministic per-node, per-interval multiplicative
 // noise of the given relative amplitude, emulating local cloud cover and
 // shading across the deployment area.
@@ -331,7 +260,6 @@ func (yt *YearTrace) NodeSource(nodeID int, peakW, variation float64) Source {
 		peakW:     peakW,
 		variation: min(1, max(0, variation)),
 		cacheDay:  -1,
-		prefixDay: -1,
 	}
 }
 
@@ -340,42 +268,16 @@ type nodeSource struct {
 	nodeID    uint64
 	peakW     float64
 	variation float64
-	db        *DayBase // shared per-lane day-base cache; nil falls back to per-node fills
 
-	// Rolling one-day harvest cache (see DESIGN.md "Harvest prefix
-	// cache"): minuteP holds the harvested power of every minute of
-	// cacheDay, computed with exactly the per-minute expression the
-	// straightforward loop uses, and prefix holds the running sums of
-	// the per-minute energies (minuteP[m] * 60 s). The cache is built
-	// lazily once per simulated day; the simulator advances through
+	// Rolling one-day harvest cache (see DESIGN.md "Harvest day cache"):
+	// minuteP holds the harvested power of every minute of cacheDay. It
+	// is filled once per simulated day; the simulator advances through
 	// days monotonically, so one day of state is enough.
 	cacheDay int64
 	minuteP  []float64 // len minutesPerDay
-	// prefix is derived from minuteP on demand (prefixDay tracks which
-	// day it currently matches): only long Energy queries need it, so
-	// the per-minute fills that dominate priming and node integration
-	// skip the running-sum work entirely.
-	prefixDay int64
-	prefix    []float64 // len minutesPerDay+1, prefix[m] = sum of first m minute energies
 }
 
 var _ MinuteSource = (*nodeSource)(nil)
-
-// prefixSpanMinutes is the number of whole minutes an Energy query must
-// cover before the prefix-difference shortcut is taken. Shorter spans
-// sum the cached per-minute energies sequentially, which reproduces the
-// pre-cache loop bit for bit (floating-point addition is not
-// associative, so a prefix difference may differ in the last ulp).
-// Every hot-path query — node integration, forecaster observation, and
-// the default 1-minute forecast windows — covers at most one whole
-// minute and therefore always takes the exact path.
-const prefixSpanMinutes = 16
-
-// SetDayBase attaches a shared day-base cache; subsequent per-day fills
-// read the year-adjusted base powers from it instead of re-deriving them
-// from the float32 trace. The fill expressions are unchanged term for
-// term, so the cached powers are bit-identical with or without it.
-func (s *nodeSource) SetDayBase(db *DayBase) { s.db = db }
 
 // SetMinuteBuf hands the rolling cache a caller-owned backing slice of
 // length minutesPerDay, letting a simulation carve per-node views out
@@ -389,7 +291,11 @@ func (s *nodeSource) SetMinuteBuf(buf []float64) {
 	}
 }
 
-// ensureDay (re)fills the rolling cache for the given simulated day.
+// ensureDay (re)fills the rolling cache for the given simulated day. It
+// is the only place harvested power is computed: minute m gets
+// peakW · At(minute) · localFactor(minute), with At's year factor
+// applied as min(1, sample·f), which is exact in year 0 (f = 1 and every
+// sample lies in [0, 1]).
 func (s *nodeSource) ensureDay(day int64) {
 	if s.cacheDay == day {
 		return
@@ -397,112 +303,26 @@ func (s *nodeSource) ensureDay(day int64) {
 	if s.minuteP == nil {
 		s.minuteP = make([]float64, minutesPerDay)
 	}
-	if s.db != nil {
-		s.fillFromBase(day)
-		s.cacheDay = day
-		return
-	}
-	base := day * minutesPerDay
+	start := day * minutesPerDay
 	// A day never straddles a year boundary (the year is a whole number
-	// of days), so the base-trace samples and the year factor are fixed
-	// for the whole fill; reading them directly inlines YearTrace.At.
-	year := base / minutesPerYear
-	samples := s.trace.samples[base%minutesPerYear : base%minutesPerYear+minutesPerDay]
-	var f float64
-	if year > 0 {
-		if year < int64(len(s.trace.yearFactor)) {
-			f = s.trace.yearFactor[year]
-		} else {
-			f = 0.92 + 0.16*hash01(s.trace.cfg.Seed, uint64(year), 0x9e77)
+	// of days), so the year factor is fixed for the whole fill.
+	samples := s.trace.samples[start%minutesPerYear:][:minutesPerDay]
+	f := s.trace.factorFor(start / minutesPerYear)
+	// localFactor is constant over 4-minute blocks and day boundaries are
+	// block-aligned, so one evaluation serves four minutes. An all-zero
+	// (night) block skips it: peakW·0·lf is +0 for every lf >= 0.
+	for m := 0; m < minutesPerDay; m += 4 {
+		in, out := samples[m:m+4:m+4], s.minuteP[m:m+4:m+4]
+		if in[0] == 0 && in[1] == 0 && in[2] == 0 && in[3] == 0 {
+			clear(out)
+			continue
 		}
-	}
-	// The fill is split by (variation, year) so the inner loops carry no
-	// per-minute branches; every variant evaluates the same expression
-	// peakW * at * lf in the same order as the one-minute query path.
-	switch {
-	case s.variation == 0 && year == 0:
-		for m := 0; m < minutesPerDay; m++ {
-			s.minuteP[m] = s.peakW * float64(samples[m]) * 1.0
-		}
-	case s.variation == 0:
-		for m := 0; m < minutesPerDay; m++ {
-			s.minuteP[m] = s.peakW * min(1, float64(samples[m])*f) * 1.0
-		}
-	default:
-		// localFactor is constant over 4-minute blocks; day boundaries
-		// are block-aligned, so one hash serves four minutes.
-		seed := s.trace.cfg.Seed
-		nid := s.nodeID + 0x5bd1e995
-		block := uint64(base >> 2)
-		for m := 0; m < minutesPerDay; m += 4 {
-			lf := 1 + s.variation*(2*hash01(seed, nid, block)-1)
-			block++
-			if year == 0 {
-				s.minuteP[m] = s.peakW * float64(samples[m]) * lf
-				s.minuteP[m+1] = s.peakW * float64(samples[m+1]) * lf
-				s.minuteP[m+2] = s.peakW * float64(samples[m+2]) * lf
-				s.minuteP[m+3] = s.peakW * float64(samples[m+3]) * lf
-			} else {
-				s.minuteP[m] = s.peakW * min(1, float64(samples[m])*f) * lf
-				s.minuteP[m+1] = s.peakW * min(1, float64(samples[m+1])*f) * lf
-				s.minuteP[m+2] = s.peakW * min(1, float64(samples[m+2])*f) * lf
-				s.minuteP[m+3] = s.peakW * min(1, float64(samples[m+3])*f) * lf
-			}
+		lf := s.localFactor(start + int64(m))
+		for i, v := range in {
+			out[i] = s.peakW * min(1, float64(v)*f) * lf
 		}
 	}
 	s.cacheDay = day
-}
-
-// fillFromBase fills the per-minute cache from the shared day base.
-// Every variant evaluates peakW * base * lf with the same operand values
-// and association as the trace-direct fill (base[m] is exactly
-// float64(samples[m]) in year 0 and min(1, float64(samples[m])*f)
-// after), so the result is bit-identical. Blocks that are all zero skip
-// the local-factor hash: the product is +0 either way.
-func (s *nodeSource) fillFromBase(day int64) {
-	base, zeroBlk := s.db.Day(day)
-	if s.variation == 0 {
-		for m := 0; m < minutesPerDay; m++ {
-			s.minuteP[m] = s.peakW * base[m] * 1.0
-		}
-		return
-	}
-	seed := s.trace.cfg.Seed
-	nid := s.nodeID + 0x5bd1e995
-	block := uint64(day * minutesPerDay >> 2)
-	for m := 0; m < minutesPerDay; m += 4 {
-		if zeroBlk[m>>2] {
-			s.minuteP[m], s.minuteP[m+1], s.minuteP[m+2], s.minuteP[m+3] = 0, 0, 0, 0
-			block++
-			continue
-		}
-		lf := 1 + s.variation*(2*hash01(seed, nid, block)-1)
-		block++
-		s.minuteP[m] = s.peakW * base[m] * lf
-		s.minuteP[m+1] = s.peakW * base[m+1] * lf
-		s.minuteP[m+2] = s.peakW * base[m+2] * lf
-		s.minuteP[m+3] = s.peakW * base[m+3] * lf
-	}
-}
-
-// ensurePrefix derives the running-sum table for the cached day. The
-// sums accumulate minuteP[m] * 60 s in minute order, so a prefix
-// difference equals the sequential fold over the same minutes up to
-// non-associativity of the two subtractions.
-func (s *nodeSource) ensurePrefix(day int64) {
-	s.ensureDay(day)
-	if s.prefixDay == day {
-		return
-	}
-	if s.prefix == nil {
-		s.prefix = make([]float64, minutesPerDay+1)
-	}
-	var cum float64
-	for m := 0; m < minutesPerDay; m++ {
-		cum += s.minuteP[m] * 60.0
-		s.prefix[m+1] = cum
-	}
-	s.prefixDay = day
 }
 
 // DayPowers implements MinuteSource.
@@ -521,79 +341,16 @@ func (s *nodeSource) localFactor(minute int64) float64 {
 	return 1 + s.variation*(2*hash01(s.trace.cfg.Seed, s.nodeID+0x5bd1e995, block)-1)
 }
 
-func (s *nodeSource) Power(t simtime.Time) float64 {
-	if t < 0 {
-		return 0
-	}
-	minute := int64(t / simtime.Time(simtime.Minute))
-	return s.peakW * s.trace.At(minute) * s.localFactor(minute)
-}
-
-// Energy answers interval queries from the rolling day cache: partial
-// minutes and short spans sum the cached per-minute powers in the same
-// order as the original minute loop (bit-identical), while spans
-// covering at least prefixSpanMinutes whole minutes within one day
-// collapse to an O(1) prefix difference.
+// Energy walks [from, to) minute by minute over the rolling day cache,
+// summing each minute's power times the seconds of it the span covers.
 func (s *nodeSource) Energy(from, to simtime.Time) float64 {
-	if to <= from {
-		return 0
-	}
-	if from < 0 {
-		from = 0
-		if to <= from {
-			return 0
-		}
-	}
 	const minuteT = simtime.Time(simtime.Minute)
 	var total float64
-	minute := int64(from / minuteT)
-	cursor := from
-	for cursor < to {
-		day := minute / minutesPerDay
-		s.ensureDay(day)
-		m := int(minute % minutesPerDay)
-
-		// This iteration covers the part of [cursor, to) that lies in
-		// the cached day.
-		segEnd := to
-		if dayEnd := simtime.Time(day+1) * minutesPerDay * minuteT; dayEnd < segEnd {
-			segEnd = dayEnd
-		}
-
-		if next := simtime.Time(minute+1) * minuteT; next >= segEnd {
-			// The segment is contained in a single minute (possibly the
-			// exact full minute).
-			total += s.minuteP[m] * segEnd.Sub(cursor).Seconds()
-			cursor = segEnd
-			minute = int64(segEnd / minuteT)
-			continue
-		} else if cursor != simtime.Time(minute)*minuteT {
-			// Head partial minute.
-			total += s.minuteP[m] * next.Sub(cursor).Seconds()
-			cursor = next
-			minute++
-			m++
-		}
-
-		// Whole minutes, then an optional tail partial minute.
-		if nFull := int(int64(segEnd/minuteT) - minute); nFull > 0 {
-			if nFull < prefixSpanMinutes {
-				for i := 0; i < nFull; i++ {
-					total += s.minuteP[m+i] * 60.0
-				}
-			} else {
-				s.ensurePrefix(day)
-				total += s.prefix[m+nFull] - s.prefix[m]
-			}
-			minute += int64(nFull)
-			m += nFull
-			cursor = simtime.Time(minute) * minuteT
-		}
-		if cursor < segEnd {
-			total += s.minuteP[m] * segEnd.Sub(cursor).Seconds()
-			cursor = segEnd
-			minute++
-		}
+	for cursor := max(from, 0); cursor < to; {
+		minute := int64(cursor / minuteT)
+		next := min(simtime.Time(minute+1)*minuteT, to)
+		total += s.DayPowers(minute / minutesPerDay)[minute%minutesPerDay] * next.Sub(cursor).Seconds()
+		cursor = next
 	}
 	return total
 }

@@ -631,30 +631,93 @@ func TestRegisterRejectsOutOfRangeSoC(t *testing.T) {
 		{`{"nodes":[{"node":0,"soc":0.9}]}`, http.StatusOK},
 	}
 	for _, tc := range cases {
-		d, err := NewDaemon(Config{Shards: 2})
-		if err != nil {
-			t.Fatalf("NewDaemon: %v", err)
+		checkRegister(t, tc.body, tc.want)
+	}
+}
+
+// checkRegister posts body to /v1/register on a fresh 2-shard daemon and
+// checks the status, and that exactly one registration was applied on a
+// 200 and none otherwise.
+func checkRegister(t *testing.T, body string, want int) {
+	t.Helper()
+	d, err := NewDaemon(Config{Shards: 2})
+	if err != nil {
+		t.Fatalf("NewDaemon: %v", err)
+	}
+	defer d.Close()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Post(ts.URL+"/v1/register", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", body, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != want {
+		t.Errorf("%s: status %d, want %d", body, resp.StatusCode, want)
+	}
+	d.WuTable() // barrier: every lane drained
+	regs := d.Recorder().Counter("netserver.registers").Value() + d.Recorder().Counter("netserver.rejoins").Value()
+	wantRegs := int64(0)
+	if want == http.StatusOK {
+		wantRegs = 1
+	}
+	if regs != wantRegs {
+		t.Errorf("%s: %d registrations applied, want %d", body, regs, wantRegs)
+	}
+}
+
+// TestRegisterRejectsOutOfRangeNodeID: POST /v1/register must answer 400
+// for a node ID outside [0, netserver.MaxNodeID): a negative one has no
+// slot in the server's dense index, and an unbounded one would let one
+// request size that index.
+func TestRegisterRejectsOutOfRangeNodeID(t *testing.T) {
+	cases := []struct {
+		node int
+		want int
+	}{
+		{-1, http.StatusBadRequest},
+		{netserver.MaxNodeID, http.StatusBadRequest},
+		{5_000_000, http.StatusBadRequest},
+		{0, http.StatusOK},
+		{netserver.MaxNodeID - 1, http.StatusOK},
+	}
+	for _, tc := range cases {
+		checkRegister(t, fmt.Sprintf(`{"nodes":[{"node":%d,"soc":0.5}]}`, tc.node), tc.want)
+	}
+}
+
+// TestRestoreRejectsOutOfRangeNodeID: POST /v1/restore must answer 422
+// for a snapshot naming a node ID outside [0, netserver.MaxNodeID) and
+// keep the daemon's state.
+func TestRestoreRejectsOutOfRangeNodeID(t *testing.T) {
+	d, err := NewDaemon(Config{Shards: 2})
+	if err != nil {
+		t.Fatalf("NewDaemon: %v", err)
+	}
+	defer d.Close()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	d.RegisterAll([]RegisterNode{{Node: 3, SoC: 0.9}})
+	before := getBytes(t, ts, "/v1/snapshot")
+
+	for _, id := range []int{-1, netserver.MaxNodeID, 5_000_000} {
+		var snap netserver.Snapshot
+		if err := json.Unmarshal(before, &snap); err != nil {
+			t.Fatal(err)
 		}
-		ts := httptest.NewServer(d.Handler())
-		resp, err := ts.Client().Post(ts.URL+"/v1/register", "application/json", strings.NewReader(tc.body))
+		snap.Nodes = append(snap.Nodes, netserver.NodeSnapshot{ID: id})
+		body, _ := json.Marshal(&snap)
+		resp, err := ts.Client().Post(ts.URL+"/v1/restore", "application/json", bytes.NewReader(body))
 		if err != nil {
-			t.Fatalf("POST %s: %v", tc.body, err)
+			t.Fatalf("POST /v1/restore: %v", err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("restore with node %d: status %d, want 422", id, resp.StatusCode)
 		}
-		d.WuTable() // barrier: every lane drained
-		regs := d.Recorder().Counter("netserver.registers").Value() + d.Recorder().Counter("netserver.rejoins").Value()
-		wantRegs := int64(0)
-		if tc.want == http.StatusOK {
-			wantRegs = 1
-		}
-		if regs != wantRegs {
-			t.Errorf("%s: %d registrations applied, want %d", tc.body, regs, wantRegs)
-		}
-		ts.Close()
-		d.Close()
+	}
+	if after := getBytes(t, ts, "/v1/snapshot"); !bytes.Equal(after, before) {
+		t.Errorf("rejected restores changed the state:\nbefore %s\nafter  %s", before, after)
 	}
 }
 

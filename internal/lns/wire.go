@@ -87,11 +87,17 @@ type RegisterReq struct {
 	Nodes []RegisterNode `json:"nodes"`
 }
 
-// Validate reports the first node whose SoC lies outside [0, 1]: the
-// value seeds the node's degradation tracker, so an out-of-range SoC
-// would corrupt every later degradation and w_u it feeds.
+// Validate reports the first node whose ID lies outside
+// [0, netserver.MaxNodeID) or whose SoC lies outside [0, 1]. The ID
+// sizes the server's dense per-node index, so an unbounded one lets a
+// single request allocate without limit; the SoC seeds the node's
+// degradation tracker, so an out-of-range one would corrupt every later
+// degradation and w_u it feeds.
 func (r RegisterReq) Validate() error {
 	for _, n := range r.Nodes {
+		if n.Node < 0 || n.Node >= netserver.MaxNodeID {
+			return fmt.Errorf("node %d: id outside [0, %d)", n.Node, netserver.MaxNodeID)
+		}
 		if !(n.SoC >= 0 && n.SoC <= 1) {
 			return fmt.Errorf("node %d: soc %v outside [0,1]", n.Node, n.SoC)
 		}

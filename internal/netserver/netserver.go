@@ -26,6 +26,13 @@ import (
 // simulation time starts at 0, so any real instant exceeds it.
 const noneYet = simtime.Time(-1)
 
+// MaxNodeID bounds node IDs: the per-node state is a slice indexed by
+// ID, so one ID sizes it. The bound lies above every fleet in the tree
+// (the largest, the million-node LNS ingest benchmark, uses IDs below
+// 1<<20); Register ignores and Restore rejects IDs outside
+// [0, MaxNodeID), and the LNS wire layer answers them with 400.
+const MaxNodeID = 1 << 21
+
 // Server is the network-server state. It is not safe for general
 // concurrent use — sim.RunConcurrent guards it with one mutex, and the
 // LNS daemon gives each shard a private Server —
@@ -132,10 +139,10 @@ func New(model battery.Model, tempC float64, interval simtime.Duration) (*Server
 // must go through Rejoin, which keeps both the degradation history and
 // the watermarks; the simulator's brownout path (restart) does so under
 // both of its drivers, and TestBrownoutRejoinsNeverReregisters pins it
-// in internal/testbed. Negative
-// IDs are rejected (the dense index has no slot for them).
+// in internal/testbed. IDs outside [0, MaxNodeID) are ignored (the
+// dense index has no slot for them).
 func (s *Server) Register(nodeID int, initialSoC float64) {
-	if nodeID < 0 {
+	if nodeID < 0 || nodeID >= MaxNodeID {
 		return
 	}
 	s.cRegisters.Inc()

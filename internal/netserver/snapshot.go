@@ -104,6 +104,9 @@ func Restore(snap *Snapshot) (*Server, error) {
 	}
 	prev := -1
 	for _, ns := range snap.Nodes {
+		if ns.ID < 0 || ns.ID >= MaxNodeID {
+			return nil, fmt.Errorf("netserver: snapshot node ID %d outside [0, %d)", ns.ID, MaxNodeID)
+		}
 		if ns.ID <= prev {
 			return nil, fmt.Errorf("netserver: snapshot nodes not ascending (%d after %d)", ns.ID, prev)
 		}

@@ -231,6 +231,33 @@ func TestRestoreRejectsForeignSchema(t *testing.T) {
 	}
 }
 
+// TestNodeIDBound: Register ignores and Restore rejects node IDs outside
+// [0, MaxNodeID), which would otherwise size the dense per-node index.
+func TestNodeIDBound(t *testing.T) {
+	cases := []struct {
+		id int
+		ok bool
+	}{
+		{-1, false},
+		{0, true},
+		{MaxNodeID - 1, true},
+		{MaxNodeID, false},
+		{5_000_000, false},
+	}
+	for _, tc := range cases {
+		s := newTestServer(t)
+		s.Register(tc.id, 0.5)
+		if got := s.NumNodes() == 1; got != tc.ok {
+			t.Errorf("Register(%d): registered %v, want %v", tc.id, got, tc.ok)
+		}
+		snap := newTestServer(t).Snapshot()
+		snap.Nodes = []NodeSnapshot{{ID: tc.id}}
+		if _, err := Restore(snap); (err == nil) != tc.ok {
+			t.Errorf("Restore with node %d: err %v, want ok=%v", tc.id, err, tc.ok)
+		}
+	}
+}
+
 // TestSnapshotSplitMergeRoundTrip: SplitSnapshot → MergeSnapshots must
 // reproduce the original snapshot byte-for-byte for any per-node shard
 // map — the property the sharded daemon's /v1/snapshot and /v1/restore

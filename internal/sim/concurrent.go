@@ -40,8 +40,8 @@ func (s *Simulation) RunConcurrent(clock Clock) (*Result, error) {
 	if s.cfg.RunToEoL {
 		return nil, errors.New("sim: run-to-EoL needs the event engine")
 	}
-	// One lane holds the single medium. It has no engine, and the nodes
-	// get no lane DayBase: that cache is not safe for concurrent use.
+	// One lane holds the single medium and no engine; each node's
+	// goroutine fills its own solar day cache.
 	ln := &shard{s: s, med: s.med}
 	s.shards, s.coord, s.lanes, s.gwShard, s.shardsUsed = []*shard{ln}, ln, []*shard{ln}, nil, 1
 

@@ -14,8 +14,6 @@ import (
 // flatSource supplies constant power.
 type flatSource struct{ watts float64 }
 
-func (s flatSource) Power(simtime.Time) float64 { return s.watts }
-
 func (s flatSource) Energy(from, to simtime.Time) float64 {
 	if to <= from {
 		return 0

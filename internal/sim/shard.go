@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"repro/internal/energy"
 	"repro/internal/lora"
 	"repro/internal/radio"
 	"repro/internal/runner"
@@ -62,7 +61,6 @@ type shard struct {
 	s       *Simulation
 	eng     *Engine
 	med     *Medium
-	db      *energy.DayBase // per-lane batch cache of the trace's day base powers
 	freeEv  *simEvent
 	freePkt *packet
 	freeBtx *borderTx
@@ -118,7 +116,7 @@ func (s *Simulation) resolveShards(opt RunOptions) int {
 // bare lane for global ticks and border nodes.
 func (s *Simulation) setupLanes(shardCount int) {
 	if shardCount <= 1 {
-		ln := &shard{s: s, eng: NewEngine(), med: s.med, db: s.trace.NewDayBase()}
+		ln := &shard{s: s, eng: NewEngine(), med: s.med}
 		s.shards = []*shard{ln}
 		s.coord = ln
 		s.lanes = []*shard{ln}
@@ -126,7 +124,6 @@ func (s *Simulation) setupLanes(shardCount int) {
 		for _, n := range s.nodes {
 			n.owner = ln
 			n.borderPow = nil
-			n.attachDayBase()
 		}
 		s.shardsUsed = 1
 		return
@@ -136,9 +133,9 @@ func (s *Simulation) setupLanes(shardCount int) {
 	for i := range s.shards {
 		med := NewMedium(lora.BW125, cfg.Demodulators, cfg.Gateways)
 		med.SetObserver(s.obs)
-		s.shards[i] = &shard{s: s, eng: NewEngine(), med: med, db: s.trace.NewDayBase()}
+		s.shards[i] = &shard{s: s, eng: NewEngine(), med: med}
 	}
-	s.coord = &shard{s: s, eng: NewEngine(), db: s.trace.NewDayBase()}
+	s.coord = &shard{s: s, eng: NewEngine()}
 	s.lanes = append(append(make([]*shard, 0, shardCount+1), s.shards...), s.coord)
 	// Cells are contiguous blocks along the gateway ring, so adjacent
 	// gateways (the ones whose coverage overlaps most) share a shard.
@@ -149,24 +146,6 @@ func (s *Simulation) setupLanes(shardCount int) {
 	s.shardsUsed = shardCount
 	for _, n := range s.nodes {
 		s.assignNode(n)
-		n.attachDayBase()
-	}
-}
-
-// attachDayBase points the node's solar source at its owner lane's
-// shared day-base cache, so per-day harvest-cache fills batch the
-// year-adjusted base powers across all nodes of the lane sharing the
-// weather trace. The fill is bit-identical with or without the cache
-// (energy.DayBase); the instances are per-lane only because worker
-// lanes advance on separate goroutines. A non-solar source (tests)
-// simply lacks the method. The trace can be nil for bare Simulations
-// assembled by tests; those nodes keep per-node fills.
-func (n *Node) attachDayBase() {
-	if n.owner == nil || n.owner.db == nil {
-		return
-	}
-	if ds, ok := n.src.(interface{ SetDayBase(*energy.DayBase) }); ok {
-		ds.SetDayBase(n.owner.db)
 	}
 }
 

@@ -86,7 +86,6 @@ type Simulation struct {
 	med    *Medium // the single-lane medium; sharded runs build per-cell media
 	server *netserver.Server
 	nodes  []*Node
-	trace  *energy.YearTrace // shared weather trace; lanes batch per-day fills off it
 	util   utility.Function
 	gwPos  []radio.Position
 	phy    *lora.Table  // memoized airtime/TX-energy per (SF, payload)
@@ -149,7 +148,6 @@ func New(cfg config.Scenario, hooks Hooks) (*Simulation, error) {
 		hooks:  hooks,
 		med:    NewMedium(lora.BW125, cfg.Demodulators, cfg.Gateways),
 		server: server,
-		trace:  trace,
 		util:   utility.Linear{},
 		gwPos:  radio.GatewayLayout(cfg.Gateways, cfg.MaxDistanceM),
 		phy:    phy,
